@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .core import ALL_TAGS, STANDARD, failure_labels, load_bundle
 from .errors import FdevalError, InvalidParameter
 from .metrics import aurc, auroc_f, rc_curve
@@ -115,16 +113,17 @@ def build_run_config(args) -> RunConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"study entries must be objects, got {entry!r}")
         try:
-            studies.append(
-                StudySpec(
-                    name=str(entry.get("name", "")),
-                    kind=str(entry.get("kind", STANDARD)),
-                    shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
-                    metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
-                )
+            spec = StudySpec(
+                name=str(entry.get("name", "")),
+                kind=str(entry.get("kind", STANDARD)),
+                shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
+                metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
             )
         except InvalidParameter as exc:
             raise ConfigError(str(exc))
+        if any(s.name == spec.name for s in studies):
+            raise ConfigError(f"duplicate study name {spec.name!r}")
+        studies.append(spec)
 
     emit = data.get("emit", ["json", "csv"])
     if getattr(args, "emit", None):
@@ -133,7 +132,9 @@ def build_run_config(args) -> RunConfig:
         if e not in EMIT_KINDS:
             raise ConfigError(f"unknown emit kind {e!r}; expected subset of {EMIT_KINDS}")
 
-    ece_bins = int(data.get("ece_bins", 15))
+    ece_bins = data.get("ece_bins", 15)
+    if isinstance(ece_bins, bool) or not isinstance(ece_bins, int) or ece_bins < 1:
+        raise ConfigError(f"ece_bins must be a positive integer, got {ece_bins!r}")
     return RunConfig(
         bundle=bundle,
         out=out,
@@ -177,12 +178,20 @@ def cmd_score(rc: RunConfig, args) -> int:
 def cmd_evaluate(rc: RunConfig, args) -> int:
     bundle = _require_bundle(rc)
     studies = rc.studies or _default_studies(bundle)
+    rc.out.mkdir(parents=True, exist_ok=True)
+    svgs = []
+
+    def write_svg(study: str, csf: str, curve) -> None:
+        path = rc.out / f"rc_{safe_name(study)}_{safe_name(csf)}.svg"
+        path.write_text(render_rc_svg(curve, study, csf))
+        svgs.append(path)
+
+    on_curve = write_svg if "svg" in rc.emit else None
     report = MetricReport()
     for spec in studies:
-        report.merge(run_study(bundle, spec, rc.csfs, rc.softmax, ece_bins=rc.ece_bins))
+        report.merge(run_study(bundle, spec, rc.csfs, rc.softmax, ece_bins=rc.ece_bins, on_curve=on_curve))
     rank_table(report)
 
-    rc.out.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in rc.emit:
         written.append(write_json(rc.out / "report.json", report_json_obj(report)))
@@ -190,18 +199,7 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
         path = rc.out / "report.csv"
         path.write_text(report_csv_text(report))
         written.append(path)
-    if "svg" in rc.emit:
-        for spec in studies:
-            keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
-            sub = bundle.select(keep)
-            fl = failure_labels(sub, spec.kind)
-            for csf in rc.csfs:
-                vec = compute_csf(sub, csf, rc.softmax)
-                curve = rc_curve(vec, fl)
-                path = rc.out / f"rc_{safe_name(spec.name)}_{safe_name(csf)}.svg"
-                path.write_text(render_rc_svg(curve, spec.name, csf))
-                written.append(path)
-    for path in written:
+    for path in written + svgs:
         print(f"wrote {path}")
     return 0
 

@@ -111,6 +111,8 @@ def _read_binary_matrix(path: Path) -> np.ndarray:
     if len(raw) < 16 or raw[:4] != BINARY_MAGIC:
         raise ShapeMismatch(f"{path.name}: missing FDSB header")
     rows, cols, _ = struct.unpack("<III", raw[4:16])
+    if (len(raw) - 16) % 8:
+        raise ShapeMismatch(f"{path.name}: payload of {len(raw) - 16} bytes is not a whole number of f64 values")
     payload = np.frombuffer(raw, dtype="<f8", offset=16)
     if payload.size != rows * cols:
         raise ShapeMismatch(f"{path.name}: header promises {rows}x{cols}, payload holds {payload.size} values")
@@ -225,8 +227,11 @@ def load_bundle(path: str | Path) -> PredictionBundle:
     except json.JSONDecodeError as exc:
         raise ShapeMismatch(f"meta.json: {exc}") from exc
 
-    n, c = int(meta["n"]), int(meta["c"])
-    t, d = int(meta.get("t", 0)), int(meta.get("d", 0))
+    try:
+        n, c = int(meta["n"]), int(meta["c"])
+        t, d = int(meta.get("t", 0)), int(meta.get("d", 0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"meta.json: needs integer n and c, and integer t and d if present ({exc!r})") from exc
     external_names = list(meta.get("external", []))
 
     logits = _read_matrix(directory, "logits", required=True)

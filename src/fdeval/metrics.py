@@ -8,6 +8,11 @@ risk whenever a trailing tie group leaves unrecorded weight. AURC integrates
 the recorded points with trapezoids weighted by the coverage mass each point
 absorbed. The companion oracle module re-implements the same sweep point by
 point; the two must agree to 1e-12.
+
+Every ranking metric is a statistic of that one sweep. `_Sweep` sorts the
+confidences once and cuts them into tie groups; the curve, the midrank AUROC
+and both average precisions are read off the groups, and the optimal curve
+behind E-AURC is built from presorted residuals without a sort.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import FailureLabels
 from .errors import DegenerateLabels, EmptyEvaluationSet, LabelOutOfRange, ShapeMismatch
@@ -53,45 +57,84 @@ def _masked(scores, failure) -> tuple[np.ndarray, np.ndarray]:
     return conf, res
 
 
-def _curve_from_arrays(conf: np.ndarray, res: np.ndarray) -> RiskCoverageCurve:
-    n = conf.shape[0]
-    order = np.argsort(conf, kind="stable")
-    c = conf[order]
-    r = res[order]
-    total = int(r.sum())
+def _curve(res: np.ndarray, starts: np.ndarray) -> RiskCoverageCurve:
+    """Risk-coverage curve of residuals in sweep order, tie groups starting at starts."""
+    n = res.shape[0]
+    total = int(res.sum())
     if n == 1:
         return RiskCoverageCurve(
             coverages=np.array([1.0]),
             risks=np.array([total / n]),
             weights=np.zeros(0),
         )
+    # a point is recorded after dropping the first row of each tie group,
+    # except a group that starts at the last row
+    idxs = starts[starts < n - 1]
     # errors remaining after dropping samples 0..i of the sweep
-    err_after = total - np.cumsum(r[: n - 1])
-    rec = np.empty(n - 1, dtype=bool)
-    rec[0] = True
-    rec[1:] = c[1 : n - 1] != c[: n - 2]
-    idxs = np.flatnonzero(rec)
+    err_after = total - np.cumsum(res[: n - 1])[idxs]
 
-    coverages = [1.0]
-    risks = [total / n]
-    coverages.extend((n - 1 - idxs) / n)
-    risks.extend(err_after[idxs] / (n - 1 - idxs))
-    weights = list(np.diff(idxs, prepend=-1) / n)
+    coverages = [[1.0], (n - 1 - idxs) / n]
+    risks = [[total / n], err_after / (n - 1 - idxs)]
+    weights = [np.diff(idxs, prepend=-1) / n]
 
     trailing = (n - 2) - idxs[-1]
     if trailing > 0:
-        coverages.append(0.0)
-        risks.append(risks[-1])
-        weights.append(trailing / n)
+        coverages.append([0.0])
+        risks.append(risks[-1][-1:])
+        weights.append([trailing / n])
     return RiskCoverageCurve(
-        coverages=np.asarray(coverages), risks=np.asarray(risks), weights=np.asarray(weights)
+        coverages=np.concatenate(coverages), risks=np.concatenate(risks), weights=np.concatenate(weights)
     )
+
+
+class _Sweep:
+    """Confidences in ascending order, ties by index, cut into tie groups.
+
+    Label vectors passed to the methods are in the row order of the
+    confidences the sweep was built from.
+    """
+
+    def __init__(self, conf: np.ndarray):
+        self.order = np.argsort(conf, kind="stable")
+        c = conf[self.order]
+        self.starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        self.sizes = np.diff(self.starts, append=c.shape[0])
+
+    def _group_counts(self, flags: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(flags[self.order], self.starts, dtype=np.int64)
+
+    def curve(self, res: np.ndarray) -> RiskCoverageCurve:
+        return _curve(res[self.order], self.starts)
+
+    def auroc(self, positive: np.ndarray) -> float:
+        """Mann-Whitney AUROC with half credit per tied pair, via midranks."""
+        pos = self._group_counts(positive)
+        n_pos = int(pos.sum())
+        n_neg = self.order.shape[0] - n_pos
+        if n_pos == 0 or n_neg == 0:
+            raise DegenerateLabels(f"need both outcomes, got {n_pos} positives / {n_neg} negatives")
+        # the 1-based midrank of a group is start + (size + 1) / 2; twice it is
+        # an integer, so the rank sum is exact
+        rank_sum = int(np.sum((2 * self.starts + self.sizes + 1) * pos)) / 2
+        u = rank_sum - n_pos * (n_pos + 1) / 2.0
+        return float(u / (n_pos * n_neg))
+
+    def ap(self, positive: np.ndarray, descending: bool) -> float:
+        """Step-interpolated average precision with one threshold per tie group."""
+        tp, sizes = self._group_counts(positive), self.sizes
+        if descending:
+            tp, sizes = tp[::-1], sizes[::-1]
+        n_pos = int(tp.sum())
+        if n_pos == 0:
+            raise DegenerateLabels("no positive samples for average precision")
+        precision = np.cumsum(tp) / np.cumsum(sizes)
+        return float(np.sum(tp * precision) / n_pos)
 
 
 def rc_curve(scores, failure) -> RiskCoverageCurve:
     """Risk-coverage curve of a confidence vector against failure labels."""
     conf, res = _masked(scores, failure)
-    return _curve_from_arrays(conf, res)
+    return _Sweep(conf).curve(res)
 
 
 def aurc(curve: RiskCoverageCurve) -> float:
@@ -100,56 +143,25 @@ def aurc(curve: RiskCoverageCurve) -> float:
     return float(np.sum(curve.weights * (r[:-1] + r[1:]) * 0.5))
 
 
-def _optimal_confidence(res: np.ndarray) -> np.ndarray:
-    # distinct values, all failures strictly below all successes: the
-    # empirical optimum of the sweep (a tied 0/1 oracle is not, because tie
-    # groups merge trapezoids upward)
-    n = res.shape[0]
-    order = np.lexsort((np.arange(n), 1 - res))
-    conf = np.empty(n)
-    conf[order] = np.arange(n, dtype=np.float64)
-    return conf
-
-
-def e_aurc(curve: RiskCoverageCurve, failure, mode: str = "empirical") -> float:
-    """Excess AURC over the best achievable ranking of the same residuals.
-
-    mode "empirical" rebuilds the optimal curve through the same pipeline;
-    the two closed forms replace it by +/- acc*ln(acc) at full-coverage
-    accuracy (both signs circulate; kept for inspection).
-    """
-    value = aurc(curve)
-    if mode == "empirical":
-        res, mask = _residuals_and_mask(failure)
-        res = res[mask]
-        if res.shape[0] == 0:
-            raise EmptyEvaluationSet("no samples left after masking")
-        opt = _curve_from_arrays(_optimal_confidence(res), res)
-        return value - aurc(opt)
-    acc = 1.0 - float(curve.risks[0])
-    term = acc * np.log(acc) if acc > 0 else 0.0
-    if mode == "closed-form":
-        return value + term
-    if mode == "closed-form-neg":
-        return value - term
-    raise ValueError(f"unknown e-aurc mode {mode!r}")
-
-
-def _rank_auroc(conf: np.ndarray, positive: np.ndarray) -> float:
-    """Mann-Whitney AUROC with half credit per tied pair, via midranks."""
-    n_pos = int(positive.sum())
-    n_neg = positive.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(f"need both outcomes, got {n_pos} positives / {n_neg} negatives")
-    ranks = rankdata(conf, method="average")
-    u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+def e_aurc(curve: RiskCoverageCurve, failure) -> float:
+    """Excess AURC over the best achievable ranking of the same residuals."""
+    res, mask = _residuals_and_mask(failure)
+    n = int(mask.sum())
+    if n == 0:
+        raise EmptyEvaluationSet("no samples left after masking")
+    # the empirical optimum of the sweep ranks all failures strictly below all
+    # successes with distinct values (a tied 0/1 oracle is not optimal,
+    # because tie groups merge trapezoids upward): its sorted residuals are
+    # known without a sort, and every row is its own tie group
+    presorted = np.zeros(n, dtype=np.int64)
+    presorted[: int(res[mask].sum())] = 1
+    return aurc(curve) - aurc(_curve(presorted, np.arange(n)))
 
 
 def auroc_f(scores, failure) -> float:
     """Failure-detection AUROC: successes as positives, higher is better."""
     conf, res = _masked(scores, failure)
-    return _rank_auroc(conf, res == 0)
+    return _Sweep(conf).auroc(res == 0)
 
 
 def auroc_out(scores, outlier_labels, mask=None) -> float:
@@ -163,7 +175,7 @@ def auroc_out(scores, outlier_labels, mask=None) -> float:
         conf, out = conf[keep], out[keep]
     if conf.shape[0] == 0:
         raise EmptyEvaluationSet("no samples left after masking")
-    return _rank_auroc(conf, out == 0)
+    return _Sweep(conf).auroc(out == 0)
 
 
 def ap_f(scores, failure, positive: str = "success") -> float:
@@ -175,26 +187,10 @@ def ap_f(scores, failure, positive: str = "success") -> float:
     """
     conf, res = _masked(scores, failure)
     if positive == "success":
-        s, y = conf, res == 0
-    elif positive == "failure":
-        s, y = -conf, res == 1
-    else:
-        raise ValueError(f"positive must be 'success' or 'failure', got {positive!r}")
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise DegenerateLabels("no positive samples for average precision")
-    order = np.argsort(-s, kind="stable")
-    ss, ys = s[order], y[order]
-    n = ss.shape[0]
-    group_end = np.empty(n, dtype=bool)
-    group_end[:-1] = ss[:-1] != ss[1:]
-    group_end[-1] = True
-    cum_tp = np.cumsum(ys)
-    tp = cum_tp[group_end]
-    pred = np.flatnonzero(group_end) + 1.0
-    precision = tp / pred
-    delta_tp = np.diff(tp, prepend=0.0)
-    return float(np.sum(delta_tp * precision) / n_pos)
+        return _Sweep(conf).ap(res == 0, descending=True)
+    if positive == "failure":
+        return _Sweep(conf).ap(res == 1, descending=False)
+    raise ValueError(f"positive must be 'success' or 'failure', got {positive!r}")
 
 
 def accuracy(failure) -> float:

@@ -2,8 +2,9 @@
 
 Deliberately naive and structurally different from metrics.py: the AURC
 oracle is a literal step-by-step sweep with Python lists, the AUROC oracle
-counts every pair. No code is shared with the fast paths; agreement between
-the two routes is part of the test gate. Single-threaded by design.
+counts every pair, the E-AURC optimum is an explicit confidence vector. No
+code is shared with the fast paths; agreement between the two routes is part
+of the test gate. Single-threaded by design.
 """
 
 from __future__ import annotations
@@ -56,3 +57,12 @@ def auroc_oracle(scores, positive) -> float:
     gt = np.sum(pos[:, None] > neg[None, :])
     eq = np.sum(pos[:, None] == neg[None, :])
     return float((gt + 0.5 * eq) / (pos.size * neg.size))
+
+
+def optimal_confidence(res) -> np.ndarray:
+    """Distinct confidences ranking every failure strictly below every success."""
+    n = res.shape[0]
+    order = np.lexsort((np.arange(n), 1 - res))
+    conf = np.empty(n)
+    conf[order] = np.arange(n, dtype=np.float64)
+    return conf

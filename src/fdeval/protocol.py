@@ -42,6 +42,7 @@ KNOWN_METRICS = (
     "ece",
 )
 DEFAULT_METRICS = ("aurc", "e-aurc", "auroc-f", "accuracy")
+RANKING_METRICS = frozenset({"aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "auroc-out"})
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,13 @@ def run_study(
     csf_ids,
     cfg: SoftmaxConfig | None = None,
     ece_bins: int = 15,
+    on_curve=None,
 ) -> MetricReport:
-    """Evaluate every requested CSF under one study; returns a report fragment."""
+    """Evaluate every requested CSF under one study; returns a report fragment.
+
+    Every ranking metric of a CSF is read off one sort of its confidences.
+    on_curve(study name, csf, curve), when given, receives each CSF's curve.
+    """
     cfg = cfg or SoftmaxConfig()
     keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
     if not keep.any():
@@ -118,25 +124,29 @@ def run_study(
 
     probs = None
     inlier = sub.labels < sub.n_classes
+    needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
     for csf in csf_ids:
         try:
             vec = compute_csf(sub, csf, cfg)
+            if needs_sweep:
+                conf, res = M._masked(vec, flabels)
+                sweep = M._Sweep(conf)
             curve = None
             for metric in spec.metrics:
                 if metric in ("aurc", "e-aurc") and curve is None:
-                    curve = M.rc_curve(vec, flabels)
+                    curve = sweep.curve(res)
                 if metric == "aurc":
                     value = M.aurc(curve)
                 elif metric == "e-aurc":
                     value = M.e_aurc(curve, flabels)
                 elif metric == "auroc-f":
-                    value = M.auroc_f(vec, flabels)
+                    value = sweep.auroc(res == 0)
                 elif metric == "ap-f":
-                    value = M.ap_f(vec, flabels, positive="success")
+                    value = sweep.ap(res == 0, descending=True)
                 elif metric == "ap-f-err":
-                    value = M.ap_f(vec, flabels, positive="failure")
+                    value = sweep.ap(res == 1, descending=False)
                 elif metric == "auroc-out":
-                    value = M.auroc_out(vec, sub.labels == sub.n_classes, mask=flabels.eval_mask)
+                    value = sweep.auroc(inlier[flabels.eval_mask])
                 elif metric == "accuracy":
                     value = M.accuracy(flabels)
                 elif metric in ("nll", "brier"):
@@ -149,6 +159,8 @@ def run_study(
                 else:  # unreachable, StudySpec validates names
                     raise InvalidParameter(f"unknown metric {metric!r}")
                 report.values[(spec.name, csf, metric)] = float(value)
+            if on_curve is not None:
+                on_curve(spec.name, csf, curve if curve is not None else sweep.curve(res))
         except FdevalError as exc:
             raise type(exc)(f"[study {spec.name} / {csf}] {exc}") from exc
     return report

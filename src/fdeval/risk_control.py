@@ -2,8 +2,9 @@
 
 sgr_select picks the largest-coverage confidence threshold whose selective
 risk is bounded by r_star with confidence 1 - delta: a binary search over
-ceil(log2 n) retained-count candidates, each scored by inverting the binomial
-CDF tail (Bonferroni-corrected delta split across the candidates).
+ceil(log2 n) retained-count candidates, each scored by the closed-form
+Clopper-Pearson upper limit of its risk (Bonferroni-corrected delta split
+across the candidates).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betaincinv
 
 from .errors import DegenerateLabels, InvalidParameter, NoFeasibleThreshold, PerfectSeparation
 from .metrics import _conf_array, _residuals_and_mask
@@ -28,30 +29,11 @@ class SgrResult:
     delta: float
 
 
-def _binom_log_cdf(k: int, m: int, p: float) -> float:
-    """log P[Binom(m, p) <= k] via the regularized incomplete beta."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 0.0 if k >= m else -np.inf
+def _clopper_pearson_upper(k: int, m: int, delta: float) -> float:
+    """Smallest p with P[Binom(m, p) <= k] <= delta: the one-sided Clopper-Pearson upper limit."""
     if k >= m:
-        return 0.0
-    cdf = betainc(m - k, k + 1, 1.0 - p)
-    return math.log(cdf) if cdf > 0 else -np.inf
-
-
-def _invert_binomial_tail(k: int, m: int, log_delta: float) -> float:
-    """Smallest p with log CDF(k; m, p) <= log_delta, by bisection."""
-    if _binom_log_cdf(k, m, 1.0) > log_delta:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _binom_log_cdf(k, m, mid) <= log_delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(betaincinv(k + 1, m - k, 1.0 - delta))
 
 
 def sgr_select(scores, residuals, r_star: float, delta: float) -> SgrResult:
@@ -74,14 +56,13 @@ def sgr_select(scores, residuals, r_star: float, delta: float) -> SgrResult:
     cum_err = np.cumsum(sorted_res)
 
     iters = max(1, math.ceil(math.log2(n)))
-    log_delta = math.log(delta / iters)
 
     def candidate(k: int):
         tau = sorted_conf[k - 1]
         m = int(np.searchsorted(-sorted_conf, -tau, side="right"))  # all scores >= tau
         errors = int(cum_err[m - 1])                                # == floor(risk_hat * m)
-        bound = _invert_binomial_tail(errors, m, log_delta)
-        return tau, m, errors / m, float(bound)
+        bound = _clopper_pearson_upper(errors, m, delta / iters)
+        return tau, m, errors / m, bound
 
     best = None
     lo, hi = 1, n

@@ -37,7 +37,7 @@ from fdeval import (
 )
 from fdeval.cli import main as cli_main
 from fdeval.errors import NoFeasibleThreshold
-from fdeval.metrics import _optimal_confidence
+from fdeval.oracle import optimal_confidence
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -119,7 +119,7 @@ def test_c4_excess_aurc_nonnegative():
             curve = rc_curve(conf, res)
             excess = e_aurc(curve, res)
             assert excess >= EXCESS_TOL, f"e-AURC {excess:.3e} below tolerance"
-            opt = aurc(rc_curve(_optimal_confidence(res), res))
+            opt = aurc(rc_curve(optimal_confidence(res), res))
             assert opt <= aurc(curve) + ORACLE_TOL
 
 

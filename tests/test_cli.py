@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from conftest import simple_bundle
+from conftest import REPO, simple_bundle
 from fdeval import compute_csf, load_bundle, write_bundle
 from fdeval.cli import main
 
@@ -195,6 +198,43 @@ def test_library_errors_exit_1(tmp_path):
     (d / "labels.csv").write_text("0\n")
     (d / "shift.csv").write_text("IID\n")
     assert run(["evaluate", "--bundle", d]) == 1
+
+
+# where the damage goes, what is written there, and the exit code it must give
+BROKEN_INPUTS = {
+    "ece-bins-not-a-number": ("config", {"ece_bins": "x"}, 2),
+    "ece-bins-zero": ("config", {"ece_bins": 0}, 2),
+    "duplicate-study-names": ("config", {"studies": [{"name": "s"}, {"name": "s", "shift_filter": ["IID"]}]}, 2),
+    "meta-without-n": ("meta", {"c": 3, "t": 2, "d": 2}, 1),
+    "meta-non-integer-n": ("meta", {"n": "four", "c": 3}, 1),
+    "meta-non-integer-t": ("meta", {"n": 4, "c": 3, "t": [2]}, 1),
+    "f64-trailing-bytes": ("f64", None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
+def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path, capsys):
+    where, content, code = BROKEN_INPUTS[case]
+    bundle_dir = write_bundle(load_bundle(toy_bundle_dir), tmp_path / "bundle", binary=True)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(content if where == "config" else {}))
+    if where == "meta":
+        (bundle_dir / "meta.json").write_text(json.dumps(content))
+    elif where == "f64":
+        with open(bundle_dir / "logits.f64", "ab") as fh:
+            fh.write(b"\0\0\0")
+    assert run(["evaluate", "--bundle", bundle_dir, "--config", config, "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone took about a second of every command's start-up
+    code = "import sys, fdeval.cli; sys.exit('scipy.stats' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0
 
 
 def test_bad_flag_values_exit_2(toy_bundle_dir):

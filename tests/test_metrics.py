@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from conftest import both_outcomes_instance, random_instance
 from fdeval import (
@@ -19,10 +20,29 @@ from fdeval import (
     rc_curve,
 )
 from fdeval.errors import DegenerateLabels, EmptyEvaluationSet, LabelOutOfRange, ShapeMismatch
-from fdeval.metrics import _optimal_confidence
+from fdeval.oracle import optimal_confidence
 
 FIX_CONF = np.array([0.9, 0.8, 0.7, 0.6])
 FIX_RES = np.array([0, 0, 1, 0])
+
+
+def rankdata_auroc(conf, positive):
+    """The midrank AUROC as computed before the single sweep: scipy's rankdata."""
+    n_pos = int(positive.sum())
+    n_neg = positive.shape[0] - n_pos
+    u = rankdata(conf, method="average")[positive].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def argsort_ap(conf, res, positive):
+    """Average precision as computed before the single sweep: its own descending sort."""
+    s, y = (conf, res == 0) if positive == "success" else (-conf, res == 1)
+    order = np.argsort(-s, kind="stable")
+    ss, ys = s[order], y[order]
+    group_end = np.append(ss[:-1] != ss[1:], True)
+    tp = np.cumsum(ys)[group_end]
+    precision = tp / (np.flatnonzero(group_end) + 1.0)
+    return float(np.sum(np.diff(tp, prepend=0.0) * precision) / int(y.sum()))
 
 
 def test_aurc_worked_fixture():
@@ -86,7 +106,7 @@ def test_aurc_invariant_under_monotone_transform_and_permutation():
 
 def test_e_aurc_zero_for_perfect_ranking():
     res = np.array([1, 1, 0, 0, 0])
-    conf = _optimal_confidence(res)
+    conf = optimal_confidence(res)
     curve = rc_curve(conf, res)
     assert e_aurc(curve, res) == 0.0
 
@@ -98,21 +118,8 @@ def test_e_aurc_nonnegative_and_optimum_minimal(seed, tie_density):
     conf, res = random_instance(rng, n=int(rng.integers(1, 120)), tie_density=tie_density)
     curve = rc_curve(conf, res)
     assert e_aurc(curve, res) >= -1e-12
-    opt = aurc(rc_curve(_optimal_confidence(res), res))
+    opt = aurc(rc_curve(optimal_confidence(res), res))
     assert opt <= aurc(curve) + 1e-12
-
-
-def test_e_aurc_closed_forms():
-    curve = rc_curve(FIX_CONF, FIX_RES)
-    value = aurc(curve)
-    acc = 0.75
-    assert e_aurc(curve, FIX_RES, mode="closed-form") == pytest.approx(value + acc * np.log(acc), abs=1e-15)
-    assert e_aurc(curve, FIX_RES, mode="closed-form-neg") == pytest.approx(value - acc * np.log(acc), abs=1e-15)
-    with pytest.raises(ValueError):
-        e_aurc(curve, FIX_RES, mode="bogus")
-    # zero accuracy kills the correction term instead of producing nan
-    dead = rc_curve(np.array([0.1, 0.2]), np.array([1, 1]))
-    assert e_aurc(dead, np.array([1, 1]), mode="closed-form") == aurc(dead)
 
 
 def test_auroc_fixture_and_ties():
@@ -129,6 +136,19 @@ def test_auroc_matches_pairwise_oracle(seed, tie_density):
     assert abs(fast - auroc_oracle(conf, res == 0)) <= 1e-12
     # strictly monotone rescaling cannot change a rank statistic
     assert auroc_f(10.0 * conf - 3.0, res) == fast
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.9]))
+def test_sweep_matches_previous_formulations_exactly(seed, tie_density):
+    rng = np.random.default_rng(seed)
+    conf, res = both_outcomes_instance(rng, n=int(rng.integers(2, 120)), tie_density=tie_density)
+    assert auroc_f(conf, res) == rankdata_auroc(conf, res == 0)
+    assert auroc_out(conf, res) == rankdata_auroc(conf, res == 0)
+    for positive in ("success", "failure"):
+        assert ap_f(conf, res, positive=positive) == argsort_ap(conf, res, positive)
+    curve = rc_curve(conf, res)
+    assert e_aurc(curve, res) == aurc(curve) - aurc(rc_curve(optimal_confidence(res), res))
 
 
 def test_auroc_needs_both_outcomes():

@@ -102,6 +102,29 @@ def test_newclass_study_masks_and_counts():
     )
 
 
+def test_run_study_sorts_once_per_csf(monkeypatch):
+    sorts = []
+    real_argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        sorts.append(1)
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    spec = StudySpec(
+        name="ood",
+        kind=NEWCLASS,
+        shift_filter=("IID", "NEWCLASS_SEMANTIC", "NEWCLASS_NONSEMANTIC"),
+        metrics=("aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "auroc-out"),
+    )
+    curves = []
+    report = run_study(newclass_bundle(), spec, ["msr", "pe", "mls"], on_curve=lambda *args: curves.append(args))
+    assert len(sorts) == 3
+    assert [(study, csf) for study, csf, _ in curves] == [("ood", "msr"), ("ood", "pe"), ("ood", "mls")]
+    for _, csf, curve in curves:
+        assert aurc(curve) == report.values[("ood", csf, "aurc")]
+
+
 def test_shift_filter_slices_rows():
     b = newclass_bundle()
     spec = StudySpec(name="iid-only", shift_filter=("IID",), metrics=("accuracy",))

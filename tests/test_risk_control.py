@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from conftest import both_outcomes_instance
 from fdeval import aurc, auroc_f, ece, platt_apply, platt_fit, rc_curve, sgr_select
@@ -11,7 +12,33 @@ from fdeval.errors import (
     NoFeasibleThreshold,
     PerfectSeparation,
 )
-from fdeval.risk_control import _binom_log_cdf, _invert_binomial_tail
+from fdeval.risk_control import _clopper_pearson_upper
+
+
+def binom_log_cdf(k, m, p):
+    """log P[Binom(m, p) <= k] via the regularized incomplete beta."""
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 0.0 if k >= m else -np.inf
+    if k >= m:
+        return 0.0
+    cdf = betainc(m - k, k + 1, 1.0 - p)
+    return math.log(cdf) if cdf > 0 else -np.inf
+
+
+def bisect_binomial_tail(k, m, log_delta):
+    """The bound as computed before the closed form: bisection on the log CDF."""
+    if binom_log_cdf(k, m, 1.0) > log_delta:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if binom_log_cdf(k, m, mid) <= log_delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_sgr_all_correct_matches_closed_form():
@@ -89,11 +116,22 @@ def test_sgr_counts_full_tie_group_at_threshold():
 
 
 def test_binomial_tail_inversion_brackets_the_cdf():
-    log_delta = math.log(0.01)
+    delta = 0.01
+    log_delta = math.log(delta)
     for k, m in ((0, 50), (3, 80), (10, 40)):
-        p = _invert_binomial_tail(k, m, log_delta)
-        assert _binom_log_cdf(k, m, p) <= log_delta + 1e-9
-        assert _binom_log_cdf(k, m, max(p - 1e-6, 0.0)) > log_delta
+        p = _clopper_pearson_upper(k, m, delta)
+        assert binom_log_cdf(k, m, p) <= log_delta + 1e-9
+        assert binom_log_cdf(k, m, max(p - 1e-6, 0.0)) > log_delta
+
+
+def test_closed_form_bound_matches_bisection():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        m = int(rng.integers(1, 3000))
+        k = int(rng.integers(0, m + 1))
+        delta = float(10 ** rng.uniform(-6, -0.05))
+        want = bisect_binomial_tail(k, m, math.log(delta))
+        assert _clopper_pearson_upper(k, m, delta) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_platt_recovers_true_logistic_parameters():
