@@ -79,6 +79,12 @@ def _valid_csf(name: str) -> str:
     raise ConfigError(f"unknown CSF {name!r}; expected one of {CSF_IDS} or '{EXTERNAL_PREFIX}<name>'")
 
 
+def _json_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def build_run_config(args) -> RunConfig:
     data = {}
     if getattr(args, "config", None):
@@ -106,18 +112,18 @@ def build_run_config(args) -> RunConfig:
     except (InvalidParameter, TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
-    csfs = [_valid_csf(str(c)) for c in data.get("csfs", [MSR, PE])]
+    csfs = [_valid_csf(str(c)) for c in _json_list(data.get("csfs", [MSR, PE]), "csfs")]
 
     studies = []
-    for entry in data.get("studies", []):
+    for entry in _json_list(data.get("studies", []), "studies"):
         if not isinstance(entry, dict):
             raise ConfigError(f"study entries must be objects, got {entry!r}")
         try:
             spec = StudySpec(
                 name=str(entry.get("name", "")),
                 kind=str(entry.get("kind", STANDARD)),
-                shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
-                metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
+                shift_filter=tuple(_json_list(entry.get("shift_filter", list(ALL_TAGS)), "shift_filter")),
+                metrics=tuple(_json_list(entry.get("metrics", list(DEFAULT_METRICS)), "metrics")),
             )
         except InvalidParameter as exc:
             raise ConfigError(str(exc))
@@ -125,7 +131,7 @@ def build_run_config(args) -> RunConfig:
             raise ConfigError(f"duplicate study name {spec.name!r}")
         studies.append(spec)
 
-    emit = data.get("emit", ["json", "csv"])
+    emit = _json_list(data.get("emit", ["json", "csv"]), "emit")
     if getattr(args, "emit", None):
         emit = [e for e in args.emit.split(",") if e]
     for e in emit:

@@ -214,6 +214,16 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
     return bundle
 
 
+def _read_shift_tags(path: Path) -> np.ndarray:
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    while lines and not lines[-1]:
+        lines.pop()
+    if "" in lines:
+        # dropping an interior blank line would move every later tag onto the wrong row
+        raise ShapeMismatch(f"shift.csv: line {lines.index('') + 1} is blank")
+    return np.array(lines, dtype="U24")
+
+
 def load_bundle(path: str | Path) -> PredictionBundle:
     """Read and validate a bundle directory."""
     directory = Path(path)
@@ -232,7 +242,9 @@ def load_bundle(path: str | Path) -> PredictionBundle:
         t, d = int(meta.get("t", 0)), int(meta.get("d", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"meta.json: needs integer n and c, and integer t and d if present ({exc!r})") from exc
-    external_names = list(meta.get("external", []))
+    external_names = meta.get("external", [])
+    if not isinstance(external_names, list) or not all(isinstance(x, str) for x in external_names):
+        raise ShapeMismatch(f"meta.json: external must be a list of names, got {external_names!r}")
 
     logits = _read_matrix(directory, "logits", required=True)
     if logits.shape != (n, c):
@@ -245,7 +257,7 @@ def load_bundle(path: str | Path) -> PredictionBundle:
     shift_path = directory / "shift.csv"
     if not shift_path.exists():
         raise MissingFile(f"shift.csv not found in {directory}")
-    tags = np.array([line.strip() for line in shift_path.read_text().splitlines() if line.strip()], dtype="U24")
+    tags = _read_shift_tags(shift_path)
     if tags.shape[0] != n:
         raise ShapeMismatch(f"shift.csv: meta promises {n} rows, file holds {tags.shape[0]}")
 

@@ -134,7 +134,7 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
 
     a, b = 0.0, float(np.log(y.mean() / (1.0 - y.mean())))
     nll, g, h = _platt_nll_grad_hess(s, y, a, b)
-    n_iter = 0
+    n_iter = ties = 0
     for n_iter in range(1, 101):
         if np.max(np.abs(g)) <= 1e-10:
             break
@@ -149,6 +149,14 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
             if new_nll <= nll:
                 break
             scale *= 0.5
+        if new_nll > nll:
+            break  # every step length raised the NLL: stop at (a, b)
+        ties = ties + 1 if new_nll == nll else 0
+        if ties == 2:
+            # near the optimum rounding decides the comparison: a full Newton step
+            # can land one ulp of NLL above a shorter one, and steps that only tie
+            # the NLL would crawl on to the iteration cap
+            break
         a, b, nll, g, h = na, nb, new_nll, new_g, new_h
         if abs(a) > 1e4:
             raise PerfectSeparation(f"slope diverged to {a:g}; scores separate the outcomes")

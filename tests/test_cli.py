@@ -209,6 +209,13 @@ BROKEN_INPUTS = {
     "meta-non-integer-n": ("meta", {"n": "four", "c": 3}, 1),
     "meta-non-integer-t": ("meta", {"n": 4, "c": 3, "t": [2]}, 1),
     "f64-trailing-bytes": ("f64", None, 1),
+    "csfs-not-a-list": ("config", {"csfs": 5}, 2),
+    "emit-not-a-list": ("config", {"emit": 5}, 2),
+    "studies-not-a-list": ("config", {"studies": 5}, 2),
+    "shift-filter-not-a-list": ("config", {"studies": [{"name": "s", "shift_filter": 5}]}, 2),
+    "metrics-not-a-list": ("config", {"studies": [{"name": "s", "metrics": 5}]}, 2),
+    "meta-external-not-a-list": ("meta", {"n": 4, "c": 3, "t": 2, "d": 2, "external": 5}, 1),
+    "shift-blank-interior-line": ("shift", None, 1),
 }
 
 
@@ -223,6 +230,9 @@ def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path
     elif where == "f64":
         with open(bundle_dir / "logits.f64", "ab") as fh:
             fh.write(b"\0\0\0")
+    elif where == "shift":
+        lines = (bundle_dir / "shift.csv").read_text().splitlines()
+        (bundle_dir / "shift.csv").write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n")
     assert run(["evaluate", "--bundle", bundle_dir, "--config", config, "--out", tmp_path / "o"]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

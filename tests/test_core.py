@@ -95,6 +95,16 @@ def test_meta_row_count_mismatch(tmp_path):
         load_bundle(tmp_path / "b")
 
 
+def test_shift_csv_blank_lines(tmp_path):
+    bundle = simple_bundle([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]], [1, 0, 0])
+    shift = write_bundle(bundle, tmp_path / "b") / "shift.csv"
+    shift.write_text("IID\nIID\nIID\n\n \n")
+    assert load_bundle(tmp_path / "b").n_samples == 3
+    shift.write_text("IID\n\nIID\nIID\n")
+    with pytest.raises(ShapeMismatch, match="line 2 is blank"):
+        load_bundle(tmp_path / "b")
+
+
 def test_nonfinite_logits_named_by_row():
     logits = np.ones((5, 3))
     logits[3, 1] = np.nan

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+import fdeval.risk_control
 from conftest import both_outcomes_instance
 from fdeval import aurc, auroc_f, ece, platt_apply, platt_fit, rc_curve, sgr_select
 from fdeval.errors import (
@@ -159,6 +160,28 @@ def test_platt_apply_preserves_ranking_metrics_exactly():
         assert np.all((mapped >= 0) & (mapped <= 1))
         assert auroc_f(mapped, res) == auroc_f(conf, res)
         assert aurc(rc_curve(mapped, res)) == aurc(rc_curve(conf, res))
+
+
+def test_platt_stops_where_rounding_decides_the_line_search(monkeypatch):
+    # near the optimum the full Newton step can land one ulp of NLL above a
+    # shorter step that only ties the NLL; this seed tied its way to the
+    # 100-iteration cap
+    rng = np.random.default_rng(8)
+    s = rng.normal(2.0, 1.0, 1000)
+    residuals = (rng.random(1000) > 1.0 / (1.0 + np.exp(-(s - 1.5)))).astype(int)
+    nlls = []
+    real = fdeval.risk_control._platt_nll_grad_hess
+
+    def recording(*args):
+        out = real(*args)
+        nlls.append(out[0])
+        return out
+
+    monkeypatch.setattr(fdeval.risk_control, "_platt_nll_grad_hess", recording)
+    model = platt_fit(s, residuals)
+    assert model.n_iter <= 10 and len(nlls) <= 20
+    final = real(s, (residuals == 0).astype(float), model.a, model.b)[0]
+    assert final <= min(nlls)
 
 
 def test_platt_prior_smoothing_flag():

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+import fdeval.scores
 from conftest import simple_bundle
 from fdeval import (
     ConfidenceVector,
@@ -19,6 +21,7 @@ from fdeval.errors import (
     InvalidParameter,
     MissingFeatures,
     MissingMcdStack,
+    NonFiniteValue,
     SingularCovariance,
     UnknownExternal,
 )
@@ -230,6 +233,105 @@ def test_mahalanobis_dimension_guards():
         score_mahalanobis(model, np.ones((2, 3)))
     with pytest.raises(InvalidParameter):
         fit_mahalanobis(feats, np.array([0, 0, 1]))
+
+
+def test_mahalanobis_non_finite_features_raise_non_finite_value():
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(8, 3))
+    labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    model = fit_mahalanobis(feats, labels)
+    bad = feats.copy()
+    bad[5, 1] = np.nan
+    with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
+        fit_mahalanobis(bad, labels)
+    with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
+        fit_mahalanobis(feats * 1e200, labels)  # finite features, overflowing covariance
+    with pytest.raises(NonFiniteValue, match="row 5"):
+        score_mahalanobis(model, bad)
+
+
+def per_class_mahalanobis(model, feats):
+    """The former scoring loop, one triangular solve over all rows per class."""
+    best = np.full(feats.shape[0], np.inf)
+    for k in range(model.means.shape[0]):
+        diff = feats - model.means[k]
+        z = solve_triangular(model.chol_lower, diff.T, lower=True)
+        best = np.minimum(best, np.sum(z * z, axis=0))
+    return -best + 0.0
+
+
+def maha_case(name, rng):
+    """(model, rows to score) for one of the equivalence cases."""
+    n, k, d = 300, 12, 32
+    centers = rng.normal(size=(k, d))
+    labels = np.arange(n) % k
+    if name == "random":
+        feats = centers[labels] + rng.normal(size=(n, d))
+        return fit_mahalanobis(feats, labels), np.concatenate([feats, rng.normal(0, 3, (50, d))])
+    if name == "rank-one-default-ridge":
+        # all spread along one direction: the default ridge sets cond(cov) near 1e6 * d
+        feats = centers[labels] * 1e-3 + np.outer(rng.normal(0, 1e2, n), rng.normal(size=d))
+        return fit_mahalanobis(feats, labels), feats
+    if name == "low-rank-tiny-ridge":
+        feats = centers[labels] * 0.1 + rng.normal(size=(n, 3)) @ rng.normal(size=(3, d))
+        model = fit_mahalanobis(feats, labels, ridge=1e-9)
+        assert np.linalg.cond(model.chol_lower @ model.chol_lower.T) > 1e9
+        return model, feats + rng.normal(0, 1e-3, (n, d))
+    if name == "overflowing-expansion":
+        # |z|^2 and z.m overflow (inf - inf), so these rows refine every class
+        feats = centers[labels] + rng.normal(size=(n, d))
+        feats[:, 0] = np.where(labels % 2, 2.0**515, -(2.0**515))  # a power of two: exact class means
+        return fit_mahalanobis(feats, labels), feats
+    assert name == "equidistant"
+    feats = centers[labels] + rng.normal(size=(n, d))
+    model = fit_mahalanobis(feats, labels)
+    a = rng.integers(0, k, 100)
+    return model, 0.5 * (model.means[a] + model.means[(a + 1) % k])
+
+
+@pytest.mark.parametrize(
+    "name", ["random", "rank-one-default-ridge", "low-rank-tiny-ridge", "overflowing-expansion", "equidistant"]
+)
+def test_mahalanobis_matches_per_class_loop(name, monkeypatch):
+    model, rows = maha_case(name, np.random.default_rng(17))
+    solved = []
+    real_solve = fdeval.scores.solve_triangular
+
+    def recording_solve(a, b, **kwargs):
+        solved.append(b.shape[1])
+        return real_solve(a, b, **kwargs)
+
+    monkeypatch.setattr(fdeval.scores, "solve_triangular", recording_solve)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = score_mahalanobis(model, rows).scores
+        want = per_class_mahalanobis(model, rows)
+    assert np.array_equal(np.argsort(got, kind="stable"), np.argsort(want, kind="stable"))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+    if name in ("overflowing-expansion", "equidistant"):
+        # midpoints keep both of their classes and overflowed rows every class,
+        # so the refining solve sees more pairs than rows
+        assert sum(solved[2:]) > rows.shape[0]
+
+
+def test_mahalanobis_solve_count_does_not_grow_with_classes(monkeypatch):
+    solves = []
+    real_solve = fdeval.scores.solve_triangular
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(fdeval.scores, "solve_triangular", counting_solve)
+    rng = np.random.default_rng(6)
+    counts = []
+    for k in (2, 8, 32):
+        labels = np.arange(128) % k
+        feats = rng.normal(size=(k, 16))[labels] + rng.normal(size=(128, 16))
+        model = fit_mahalanobis(feats, labels)
+        solves.clear()
+        score_mahalanobis(model, feats)
+        counts.append(len(solves))
+    assert counts == [3, 3, 3]
 
 
 def test_maha_csf_fits_on_inlier_rows_only():
