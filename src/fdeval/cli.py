@@ -127,8 +127,13 @@ def build_run_config(args) -> RunConfig:
             )
         except InvalidParameter as exc:
             raise ConfigError(str(exc))
-        if any(s.name == spec.name for s in studies):
-            raise ConfigError(f"duplicate study name {spec.name!r}")
+        for s in studies:
+            if s.name == spec.name:
+                raise ConfigError(f"duplicate study name {spec.name!r}")
+            if safe_name(s.name) == safe_name(spec.name):
+                raise ConfigError(
+                    f"study names {s.name!r} and {spec.name!r} both map to file name part {safe_name(spec.name)!r}"
+                )
         studies.append(spec)
 
     emit = _json_list(data.get("emit", ["json", "csv"]), "emit")
@@ -181,14 +186,28 @@ def cmd_score(rc: RunConfig, args) -> int:
     return 0
 
 
+def _svg_name(study: str, csf: str) -> str:
+    return f"rc_{safe_name(study)}_{safe_name(csf)}.svg"
+
+
 def cmd_evaluate(rc: RunConfig, args) -> int:
     bundle = _require_bundle(rc)
     studies = rc.studies or _default_studies(bundle)
+    if "svg" in rc.emit:
+        owners = {}
+        for spec in studies:
+            for csf in rc.csfs:
+                name = _svg_name(spec.name, csf)
+                other = owners.setdefault(name, (spec.name, csf))
+                if other != (spec.name, csf):
+                    raise ConfigError(
+                        f"study {spec.name!r} CSF {csf!r} and study {other[0]!r} CSF {other[1]!r} both write {name}"
+                    )
     rc.out.mkdir(parents=True, exist_ok=True)
     svgs = []
 
     def write_svg(study: str, csf: str, curve) -> None:
-        path = rc.out / f"rc_{safe_name(study)}_{safe_name(csf)}.svg"
+        path = rc.out / _svg_name(study, csf)
         path.write_text(render_rc_svg(curve, study, csf))
         svgs.append(path)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .metrics import RiskCoverageCurve
 from .protocol import MetricReport
 
@@ -82,6 +84,55 @@ def safe_name(name: str) -> str:
     return "".join(ch if (ch.isalnum() or ch in "._-") else "-" for ch in name)
 
 
+_PAD = 0  # fill byte of the fixed-width text records below; never part of the output
+# Distance from a half-hundredth below which a coordinate is left to format():
+# 100 * v carries a rounding error of about 1e-11 for v < 1000, so outside this
+# gap np.rint(100 * v) is the integer format(v, ".2f") rounds the exact v to.
+_TIE_GAP = 1e-6
+
+
+def _fixed2(v: np.ndarray) -> np.ndarray:
+    """format(x, ".2f") of each element of v as a row of ASCII bytes, right-aligned, padded with _PAD.
+
+    Values in [0, 1000) clear of a half-hundredth are written from
+    np.rint(100 * v); exact or near ties, non-finite and out-of-range values
+    go through format() one by one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = 100.0 * v
+        cents = np.rint(scaled)
+        fast = ~np.signbit(v) & (v < 1000.0) & (np.abs(scaled - cents) < 0.5 - _TIE_GAP)
+    slow = np.flatnonzero(~fast)
+    texts = [format(float(v[i]), ".2f").encode("ascii") for i in slow]
+    cents = np.where(fast, cents, 0.0).astype(np.int64)
+    whole = cents // 100
+    digits = len(str(whole.max(initial=0)))  # of the widest whole part, at most 1000
+    width = max([digits + 3] + [len(t) for t in texts])
+    out = np.full((v.shape[0], width), _PAD, dtype=np.uint8)
+    out[:, -1] = ord("0") + cents % 10
+    out[:, -2] = ord("0") + cents // 10 % 10
+    out[:, -3] = ord(".")
+    for j in range(digits):  # whole part without leading zeros
+        digit = ord("0") + whole // 10**j % 10
+        out[:, -4 - j] = np.where((j == 0) | (whole >= 10**j), digit, _PAD)
+    if texts:  # a bytes array pads with NUL, which is _PAD
+        out[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return out
+
+
+def _records(*fields) -> str:
+    """Rows of _fixed2 blocks and str literals side by side, read row by row with the padding dropped."""
+    rows = next(f.shape[0] for f in fields if not isinstance(f, str))
+    blocks = [np.frombuffer(f.encode("ascii"), dtype=np.uint8) if isinstance(f, str) else f for f in fields]
+    out = np.empty((rows, sum(b.shape[-1] for b in blocks)), dtype=np.uint8)
+    col = 0
+    for b in blocks:
+        out[:, col:col + b.shape[-1]] = b
+        col += b.shape[-1]
+    flat = out.ravel()
+    return flat[flat != _PAD].tobytes().decode("ascii")
+
+
 def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> str:
     """Static stepped risk-coverage plot on fixed [0,1] x [0,1] axes."""
     left, right, top, bottom = 60.0, 440.0, 20.0, 320.0
@@ -92,13 +143,10 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> str:
     def y(risk: float) -> str:
         return format(bottom - (bottom - top) * risk, ".2f")
 
-    covs = list(map(float, curve.coverages))
-    risks = list(map(float, curve.risks))
-    d = [f"M {x(covs[0])},{y(risks[0])}"]
-    for k in range(1, len(covs)):
-        d.append(f"L {x(covs[k])},{y(risks[k - 1])}")
-        d.append(f"L {x(covs[k])},{y(risks[k])}")
-    path = " ".join(d)
+    xs = _fixed2(left + (right - left) * np.asarray(curve.coverages, dtype=np.float64))
+    ys = _fixed2(bottom - (bottom - top) * np.asarray(curve.risks, dtype=np.float64))
+    # one vertex pair per later point: across at the previous risk, then down to this one
+    path = _records("M ", xs[:1], ",", ys[:1]) + _records(" L ", xs[1:], ",", ys[:-1], " L ", xs[1:], ",", ys[1:])
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" viewBox="0 0 480 360">',

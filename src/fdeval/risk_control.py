@@ -187,15 +187,9 @@ def ece(calibrated_scores, residuals, bins: int = 15) -> float:
         raise InvalidParameter("calibrated scores must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)[1:]
     idx = np.searchsorted(edges, s, side="left")
-    correct = 1.0 - res
-    total = 0.0
-    n = s.size
-    for b in range(bins):
-        in_bin = idx == b
-        n_b = int(in_bin.sum())
-        if n_b == 0:
-            continue
-        acc = float(np.mean(correct[in_bin]))
-        conf = float(np.mean(s[in_bin]))
-        total += (n_b / n) * abs(acc - conf)
-    return float(total)
+    counts = np.bincount(idx)
+    filled = counts > 0
+    n_b = counts[filled]
+    acc = np.bincount(idx, weights=1.0 - res)[filled] / n_b
+    conf = np.bincount(idx, weights=s)[filled] / n_b
+    return float(np.sum(n_b / s.size * np.abs(acc - conf)))

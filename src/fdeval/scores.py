@@ -137,6 +137,8 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     labels = np.asarray(train_labels).astype(np.int64).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise InvalidParameter(f"features {feats.shape} and labels {labels.shape} do not align")
+    if feats.shape[1] == 0:
+        raise InvalidParameter("features have zero width")
     class_ids = np.unique(labels)
     if class_ids.size < 1:
         raise ClassUnderpopulated("no training rows")

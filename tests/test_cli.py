@@ -216,6 +216,8 @@ BROKEN_INPUTS = {
     "metrics-not-a-list": ("config", {"studies": [{"name": "s", "metrics": 5}]}, 2),
     "meta-external-not-a-list": ("meta", {"n": 4, "c": 3, "t": 2, "d": 2, "external": 5}, 1),
     "shift-blank-interior-line": ("shift", None, 1),
+    "study-file-names-collide": ("config", {"studies": [{"name": "a b"}, {"name": "a-b"}]}, 2),
+    "svg-file-names-collide": ("config", {"csfs": ["msr", "ext:a b", "ext:a-b"], "emit": ["svg"]}, 2),
 }
 
 

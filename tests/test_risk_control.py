@@ -224,6 +224,37 @@ def test_ece_bin_edges_are_right_closed():
     assert value == pytest.approx(0.5 * 0.25, abs=1e-12)
 
 
+def per_bin_ece(scores, res, bins):
+    """ECE as it was before np.bincount: one mask and two means per bin."""
+    edges = np.linspace(0.0, 1.0, bins + 1)[1:]
+    idx = np.searchsorted(edges, scores, side="left")
+    correct = 1.0 - res
+    total = 0.0
+    for b in range(bins):
+        in_bin = idx == b
+        n_b = int(in_bin.sum())
+        if n_b == 0:
+            continue
+        total += (n_b / scores.size) * abs(float(np.mean(correct[in_bin])) - float(np.mean(scores[in_bin])))
+    return total
+
+
+@pytest.mark.parametrize("bins", [1, 2, 7, 15, 100])
+def test_ece_bincount_matches_per_bin_loop(bins):
+    rng = np.random.default_rng(bins)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    cases = [
+        rng.random(5000),
+        rng.random(5000) ** 8,  # most bins near 1 stay empty
+        np.round(rng.random(300), 2),
+        np.repeat(edges, 3),  # a score exactly on every edge
+        np.array([0.5]),
+    ]
+    for scores in cases:
+        res = (rng.random(scores.size) < 0.3).astype(np.int64)
+        assert ece(scores, res, bins=bins) == pytest.approx(per_bin_ece(scores, res, bins), abs=1e-12)
+
+
 def test_ece_guards():
     with pytest.raises(InvalidParameter):
         ece(np.array([1.5]), np.array([0]))

@@ -233,6 +233,8 @@ def test_mahalanobis_dimension_guards():
         score_mahalanobis(model, np.ones((2, 3)))
     with pytest.raises(InvalidParameter):
         fit_mahalanobis(feats, np.array([0, 0, 1]))
+    with pytest.raises(InvalidParameter, match="zero width"):
+        fit_mahalanobis(np.ones((4, 0)), np.array([0, 0, 1, 1]))
 
 
 def test_mahalanobis_non_finite_features_raise_non_finite_value():
