@@ -42,7 +42,10 @@ from .scores import CSF_IDS, EXTERNAL_PREFIX, MLS, MSR, PE, PRECISIONS, SoftmaxC
 
 ENV_SEED = "FDSHIFT_SEED"
 EMIT_KINDS = ("json", "csv", "svg")
-CONFIG_KEYS = {"bundle", "out", "precision", "temperature", "csfs", "studies", "emit", "ece_bins"}
+# the keys a run config and each of its study entries may hold, with the JSON types each may take
+CONFIG_TYPES = {"bundle": str, "out": str, "precision": str, "temperature": (int, float), "csfs": list,
+                "studies": list, "emit": list, "ece_bins": int}
+STUDY_TYPES = {"name": str, "kind": str, "shift_filter": list, "metrics": list}
 
 
 class ConfigError(Exception):
@@ -79,10 +82,15 @@ def _valid_csf(name: str) -> str:
     raise ConfigError(f"unknown CSF {name!r}; expected one of {CSF_IDS} or '{EXTERNAL_PREFIX}<name>'")
 
 
-def _json_list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a JSON list, got {value!r}")
-    return value
+def _check_json_object(value, types: dict, what: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, item in value.items():
+        if not isinstance(item, types[key]):
+            raise ConfigError(f"{what} key {key!r} has the wrong JSON type: {item!r}")
 
 
 def build_run_config(args) -> RunConfig:
@@ -93,13 +101,9 @@ def build_run_config(args) -> RunConfig:
             raise ConfigError(f"config file {path} not found")
         try:
             data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are no UTF-8
             raise ConfigError(f"config file {path}: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_json_object(data, CONFIG_TYPES, "config")
 
     bundle = getattr(args, "bundle", None) or data.get("bundle")
     out = Path(getattr(args, "out", None) or data.get("out") or "out")
@@ -109,21 +113,23 @@ def build_run_config(args) -> RunConfig:
         temperature = data.get("temperature", 1.0)
     try:
         softmax_cfg = SoftmaxConfig(precision=precision, temperature=float(temperature))
-    except (InvalidParameter, TypeError, ValueError) as exc:
+    except InvalidParameter as exc:
         raise ConfigError(str(exc))
 
-    csfs = [_valid_csf(str(c)) for c in _json_list(data.get("csfs", [MSR, PE]), "csfs")]
+    csfs = [_valid_csf(str(c)) for c in data.get("csfs", [MSR, PE])]
+    for i, csf in enumerate(csfs):
+        if csf in csfs[:i]:
+            raise ConfigError(f"CSF {csf!r} is listed twice")
 
     studies = []
-    for entry in _json_list(data.get("studies", []), "studies"):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"study entries must be objects, got {entry!r}")
+    for entry in data.get("studies", []):
+        _check_json_object(entry, STUDY_TYPES, "study")
         try:
             spec = StudySpec(
-                name=str(entry.get("name", "")),
-                kind=str(entry.get("kind", STANDARD)),
-                shift_filter=tuple(_json_list(entry.get("shift_filter", list(ALL_TAGS)), "shift_filter")),
-                metrics=tuple(_json_list(entry.get("metrics", list(DEFAULT_METRICS)), "metrics")),
+                name=entry.get("name", ""),
+                kind=entry.get("kind", STANDARD),
+                shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
+                metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
             )
         except InvalidParameter as exc:
             raise ConfigError(str(exc))
@@ -136,7 +142,7 @@ def build_run_config(args) -> RunConfig:
                 )
         studies.append(spec)
 
-    emit = _json_list(data.get("emit", ["json", "csv"]), "emit")
+    emit = data.get("emit", ["json", "csv"])
     if getattr(args, "emit", None):
         emit = [e for e in args.emit.split(",") if e]
     for e in emit:
@@ -144,7 +150,7 @@ def build_run_config(args) -> RunConfig:
             raise ConfigError(f"unknown emit kind {e!r}; expected subset of {EMIT_KINDS}")
 
     ece_bins = data.get("ece_bins", 15)
-    if isinstance(ece_bins, bool) or not isinstance(ece_bins, int) or ece_bins < 1:
+    if isinstance(ece_bins, bool) or ece_bins < 1:
         raise ConfigError(f"ece_bins must be a positive integer, got {ece_bins!r}")
     return RunConfig(
         bundle=bundle,

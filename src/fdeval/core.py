@@ -4,15 +4,17 @@ A bundle directory holds the stored outputs of one classifier run:
 
     meta.json          {"n": int, "c": int, "t": int, "d": int, "external": [names]}
     logits.csv         n rows x c columns, headerless
-    labels.csv         n rows, integer class ids; c marks a new-class sample
+    labels.csv         n rows x 1 column, integer class ids; c marks a new-class sample
     shift.csv          n rows, one ShiftTag name per row
     mcd_logits.csv     optional, n*t rows x c, sample-major (t rows per sample)
     features.csv       optional, n rows x d
-    external_<x>.csv   optional, n rows, precomputed confidence scores
+    external_<x>.csv   optional, n rows x 1 column, precomputed confidence scores
 
-Every matrix file may instead be shipped as <name>.f64: a 16-byte header
-(magic "FDSB", u32 rows, u32 cols, u32 reserved, little-endian) followed by
-row-major IEEE-754 f64 payload. shift.csv is always CSV.
+The counts in meta.json are non-negative JSON integers, and every matrix file
+holds exactly the shape they give it. Every matrix file may instead be shipped
+as <name>.f64: a 16-byte header (magic "FDSB", u32 rows, u32 cols, u32
+reserved, little-endian) followed by row-major IEEE-754 f64 payload.
+shift.csv is always CSV.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,41 +124,29 @@ def _read_binary_matrix(path: Path) -> np.ndarray:
 
 def _write_binary_matrix(path: Path, arr: np.ndarray) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    header = BINARY_MAGIC + struct.pack("<III", arr.shape[0], arr.shape[1], 0)
-    path.write_bytes(header + arr.astype("<f8").tobytes(order="C"))
+    with open(path, "wb") as fh:
+        fh.write(BINARY_MAGIC + struct.pack("<III", arr.shape[0], arr.shape[1], 0))
+        arr.astype("<f8", copy=False).tofile(fh)
 
 
-def _read_matrix(directory: Path, stem: str, required: bool) -> np.ndarray | None:
-    """Load stem.csv or stem.f64 from directory; None if optional and absent."""
-    csv_path = directory / f"{stem}.csv"
-    bin_path = directory / f"{stem}.f64"
-    if csv_path.exists():
+def _read_matrix(directory: Path, stem: str, rows: int, cols: int) -> np.ndarray:
+    """Load stem.csv or stem.f64 from directory as exactly the rows x cols array meta.json promises."""
+    path = directory / f"{stem}.csv"
+    if path.exists():
         try:
-            arr = np.loadtxt(csv_path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise ShapeMismatch(f"{csv_path.name}: {exc}") from exc
-        return arr
-    if bin_path.exists():
-        return _read_binary_matrix(bin_path)
-    if required:
+            with warnings.catch_warnings():
+                # an empty file warns before it fails the shape check below
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:  # ragged rows, text that is no number, bytes that are no UTF-8
+            raise ShapeMismatch(f"{path.name}: {exc}") from exc
+    elif (path := directory / f"{stem}.f64").exists():
+        arr = _read_binary_matrix(path)
+    else:
         raise MissingFile(f"{stem}.csv (or {stem}.f64) not found in {directory}")
-    return None
-
-
-def _as_labels(arr: np.ndarray, name: str, n_classes: int, allow_ood: bool) -> np.ndarray:
-    arr = np.asarray(arr).reshape(-1)
-    _check_finite(arr.astype(np.float64), name)
-    rounded = np.rint(arr)
-    if not np.array_equal(rounded, arr):
-        row = int(np.argwhere(rounded != arr)[0][0])
-        raise LabelOutOfRange(f"{name}: non-integer label at row {row}")
-    labels = rounded.astype(np.int64)
-    hi = n_classes if allow_ood else n_classes - 1
-    bad = (labels < 0) | (labels > hi)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise LabelOutOfRange(f"{name}: label {labels[row]} at row {row} outside [0, {hi}]")
-    return labels
+    if arr.shape != (rows, cols):
+        raise ShapeMismatch(f"{path.name}: meta promises {rows}x{cols}, file holds {arr.shape[0]}x{arr.shape[1]}")
+    return arr
 
 
 def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
@@ -169,13 +160,23 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
     _check_finite(logits, "logits")
     bundle.logits = logits
 
-    bundle.labels = _as_labels(bundle.labels, "labels", c, allow_ood=True)
-    if bundle.labels.shape != (n,):
-        raise ShapeMismatch(f"labels: {bundle.labels.shape[0]} rows, logits has {n}")
+    labels = np.asarray(bundle.labels)
+    if labels.shape != (n,):
+        raise ShapeMismatch(f"labels: expected shape ({n},), got {labels.shape}")
+    _check_finite(labels.astype(np.float64), "labels")
+    rounded = np.rint(labels)
+    if not np.array_equal(rounded, labels):
+        row = int(np.argwhere(rounded != labels)[0][0])
+        raise LabelOutOfRange(f"labels: non-integer label at row {row}")
+    bad = (rounded < 0) | (rounded > c)  # before the cast, which a label such as 1e300 overflows
+    if bad.any():
+        row = int(np.argwhere(bad)[0][0])
+        raise LabelOutOfRange(f"labels: label {rounded[row]:g} at row {row} outside [0, {c}]")
+    bundle.labels = rounded.astype(np.int64)
 
-    tags = np.asarray(bundle.shift_tags, dtype="U24").reshape(-1)
+    tags = np.asarray(bundle.shift_tags, dtype="U24")
     if tags.shape != (n,):
-        raise ShapeMismatch(f"shift: {tags.shape[0]} rows, logits has {n}")
+        raise ShapeMismatch(f"shift: expected shape ({n},), got {tags.shape}")
     known = np.isin(tags, ALL_TAGS)
     if not known.all():
         row = int(np.argwhere(~known)[0][0])
@@ -205,9 +206,9 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
         bundle.features = feats
 
     for name, col in bundle.externals.items():
-        col = np.asarray(col, dtype=np.float64).reshape(-1)
+        col = np.asarray(col, dtype=np.float64)
         if col.shape != (n,):
-            raise ShapeMismatch(f"external_{name}: {col.shape[0]} rows, logits has {n}")
+            raise ShapeMismatch(f"external_{name}: expected shape ({n},), got {col.shape}")
         _check_finite(col, f"external_{name}")
         bundle.externals[name] = col
 
@@ -215,13 +216,24 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
 
 
 def _read_shift_tags(path: Path) -> np.ndarray:
-    lines = [line.strip() for line in path.read_text().splitlines()]
+    try:
+        lines = [line.strip() for line in path.read_text().splitlines()]
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatch(f"shift.csv: {exc}") from exc
     while lines and not lines[-1]:
         lines.pop()
     if "" in lines:
         # dropping an interior blank line would move every later tag onto the wrong row
         raise ShapeMismatch(f"shift.csv: line {lines.index('') + 1} is blank")
     return np.array(lines, dtype="U24")
+
+
+def _meta_count(meta: dict, key: str, default: int | None = None) -> int:
+    # bool, float and string counts are refused: coercing 4.7 or "4" to 4 loads a bundle meta does not describe
+    value = meta.get(key, default)
+    if type(value) is not int or value < 0:
+        raise ShapeMismatch(f"meta.json: {key} must be a non-negative JSON integer, got {value!r}")
+    return value
 
 
 def load_bundle(path: str | Path) -> PredictionBundle:
@@ -234,50 +246,25 @@ def load_bundle(path: str | Path) -> PredictionBundle:
         raise MissingFile(f"meta.json not found in {directory}")
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are no UTF-8
         raise ShapeMismatch(f"meta.json: {exc}") from exc
-
-    try:
-        n, c = int(meta["n"]), int(meta["c"])
-        t, d = int(meta.get("t", 0)), int(meta.get("d", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"meta.json: needs integer n and c, and integer t and d if present ({exc!r})") from exc
+    if not isinstance(meta, dict):
+        raise ShapeMismatch(f"meta.json must hold a JSON object, got {meta!r}")
+    n, c = _meta_count(meta, "n"), _meta_count(meta, "c")
+    t, d = _meta_count(meta, "t", 0), _meta_count(meta, "d", 0)
     external_names = meta.get("external", [])
     if not isinstance(external_names, list) or not all(isinstance(x, str) for x in external_names):
         raise ShapeMismatch(f"meta.json: external must be a list of names, got {external_names!r}")
 
-    logits = _read_matrix(directory, "logits", required=True)
-    if logits.shape != (n, c):
-        raise ShapeMismatch(f"logits: meta promises {n}x{c}, file holds {logits.shape[0]}x{logits.shape[1]}")
-
-    labels = _read_matrix(directory, "labels", required=True).reshape(-1)
-    if labels.shape[0] != n:
-        raise ShapeMismatch(f"labels: meta promises {n} rows, file holds {labels.shape[0]}")
-
+    logits = _read_matrix(directory, "logits", n, c)
+    labels = _read_matrix(directory, "labels", n, 1)[:, 0]
     shift_path = directory / "shift.csv"
     if not shift_path.exists():
         raise MissingFile(f"shift.csv not found in {directory}")
     tags = _read_shift_tags(shift_path)
-    if tags.shape[0] != n:
-        raise ShapeMismatch(f"shift.csv: meta promises {n} rows, file holds {tags.shape[0]}")
-
-    mcd = None
-    if t > 0:
-        flat = _read_matrix(directory, "mcd_logits", required=True)
-        if flat.shape != (n * t, c):
-            raise ShapeMismatch(f"mcd_logits: meta promises {n * t}x{c}, file holds {flat.shape[0]}x{flat.shape[1]}")
-        mcd = flat.reshape(n, t, c)
-
-    features = None
-    if d > 0:
-        features = _read_matrix(directory, "features", required=True)
-        if features.shape != (n, d):
-            raise ShapeMismatch(f"features: meta promises {n}x{d}, file holds {features.shape[0]}x{features.shape[1]}")
-
-    externals = {}
-    for name in external_names:
-        col = _read_matrix(directory, f"external_{name}", required=True)
-        externals[name] = col.reshape(-1)
+    mcd = _read_matrix(directory, "mcd_logits", n * t, c).reshape(n, t, c) if t else None
+    features = _read_matrix(directory, "features", n, d) if d else None
+    externals = {name: _read_matrix(directory, f"external_{name}", n, 1)[:, 0] for name in external_names}
 
     bundle = PredictionBundle(
         logits=logits,

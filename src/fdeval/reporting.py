@@ -8,6 +8,8 @@ locale) is ever written. The SVG renderer is hand-rolled for the same reason.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -63,14 +65,17 @@ def report_json_obj(report: MetricReport) -> dict:
 
 
 def report_csv_text(report: MetricReport) -> str:
-    lines = ["study,csf,metric,value,rank"]
+    """Long-format table, RFC 4180 quoted: a name holding a comma, quote or newline stays one field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["study", "csf", "metric", "value", "rank"])
     for (study, csf, metric) in sorted(report.values, key=lambda k: (k[0], k[2], k[1])):
         value = report.values[(study, csf, metric)]
         if metric == "aurc":
             value = value * AURC_SCALE
         rank = report.ranks.get((study, metric), {}).get(csf, "")
-        lines.append(f"{study},{csf},{metric},{fmt_float(value)},{rank}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([study, csf, metric, fmt_float(value), rank])
+    return buf.getvalue()
 
 
 def curve_csv_text(curve: RiskCoverageCurve) -> str:

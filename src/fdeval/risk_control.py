@@ -160,8 +160,6 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
         a, b, nll, g, h = na, nb, new_nll, new_g, new_h
         if abs(a) > 1e4:
             raise PerfectSeparation(f"slope diverged to {a:g}; scores separate the outcomes")
-    if abs(a) > 1e4:
-        raise PerfectSeparation(f"slope diverged to {a:g}; scores separate the outcomes")
     return PlattModel(a=float(a), b=float(b), n_iter=n_iter)
 
 

@@ -123,8 +123,8 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
 
 def _entropy(p: np.ndarray) -> np.ndarray:
     """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0."""
-    safe = np.where(p > 0, p, 1.0)
-    return -np.sum(np.where(p > 0, p * np.log(safe), 0.0), axis=-1)
+    # p * ln(1) is already +0.0 where p == 0
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
 
 
 def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge: float | None = None):
@@ -244,12 +244,7 @@ def _maha_from_bundle(bundle: PredictionBundle) -> MahaModel:
     return fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
 
 
-def compute_csf(
-    bundle: PredictionBundle,
-    csf_id: str,
-    cfg: SoftmaxConfig | None = None,
-    maha_model: MahaModel | None = None,
-) -> ConfidenceVector:
+def compute_csf(bundle: PredictionBundle, csf_id: str, cfg: SoftmaxConfig | None = None) -> ConfidenceVector:
     """Evaluate one confidence scoring function over all bundle rows."""
     cfg = cfg or SoftmaxConfig()
 
@@ -265,8 +260,7 @@ def compute_csf(
     if csf_id == MAHA:
         if bundle.features is None:
             raise MissingFeatures("maha requires bundle features")
-        model = maha_model or _maha_from_bundle(bundle)
-        return score_mahalanobis(model, bundle.features)
+        return score_mahalanobis(_maha_from_bundle(bundle), bundle.features)
 
     if csf_id in (MSR, PE):
         p = softmax(bundle.logits, cfg)

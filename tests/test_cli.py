@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -200,6 +202,9 @@ def test_library_errors_exit_1(tmp_path):
     assert run(["evaluate", "--bundle", d]) == 1
 
 
+# the four toy labels in a .f64 file whose header says 2x2
+LABELS_F64_2X2 = b"FDSB" + struct.pack("<III", 2, 2, 0) + np.array([0.0, 1.0, 0.0, 1.0], dtype="<f8").tobytes()
+
 # where the damage goes, what is written there, and the exit code it must give
 BROKEN_INPUTS = {
     "ece-bins-not-a-number": ("config", {"ece_bins": "x"}, 2),
@@ -218,6 +223,24 @@ BROKEN_INPUTS = {
     "shift-blank-interior-line": ("shift", None, 1),
     "study-file-names-collide": ("config", {"studies": [{"name": "a b"}, {"name": "a-b"}]}, 2),
     "svg-file-names-collide": ("config", {"csfs": ["msr", "ext:a b", "ext:a-b"], "emit": ["svg"]}, 2),
+    "csf-listed-twice": ("config", {"csfs": ["msr", "msr"], "emit": ["svg"]}, 2),
+    "study-unknown-key": ("config", {"studies": [{"name": "s", "metricz": ["aurc"]}]}, 2),
+    "bundle-not-a-string": ("config", {"bundle": 5}, 2),
+    "out-not-a-string": ("config", {"out": 5}, 2),
+    "config-not-utf8": ("file", ("run.json", b'{"csfs": ["m\xffr"]}'), 2),
+    # each file must hold exactly the shape meta.json promises, not the same number of values
+    "labels-csv-2x2": ("file", ("bundle/labels.csv", "0,1\n0,1\n"), 1),
+    "labels-csv-one-line": ("file", ("bundle/labels.csv", "0,1,0,1\n"), 1),
+    "external-csv-2x2": ("file", ("bundle/external_demo.csv", "0.9,0.8\n0.3,0.4\n"), 1),
+    "labels-f64-2x2": ("file", ("bundle/labels.f64", LABELS_F64_2X2), 1),
+    "meta-float-n": ("meta", {"n": 4.7, "c": 3, "t": 2, "d": 2, "external": ["demo"]}, 1),
+    "meta-string-n": ("meta", {"n": "4", "c": 3, "t": 2, "d": 2, "external": ["demo"]}, 1),
+    "meta-negative-t": ("meta", {"n": 4, "c": 3, "t": -2, "d": 2, "external": ["demo"]}, 1),
+    "meta-not-an-object": ("meta", [4, 3], 1),
+    "meta-not-utf8": ("file", ("bundle/meta.json", b'{"n": 4, "c": 3, "external": ["d\xffmo"]}'), 1),
+    "shift-not-utf8": ("file", ("bundle/shift.csv", b"IID\nI\xffD\nIID\nIID\n"), 1),
+    "logits-csv-empty": ("file", ("bundle/logits.csv", ""), 1),
+    "label-overflows-int64": ("file", ("bundle/labels.csv", "0\n1e300\n0\n1\n"), 1),
 }
 
 
@@ -226,7 +249,8 @@ def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path
     where, content, code = BROKEN_INPUTS[case]
     bundle_dir = write_bundle(load_bundle(toy_bundle_dir), tmp_path / "bundle", binary=True)
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(content if where == "config" else {}))
+    config.write_text(json.dumps({"bundle": str(bundle_dir), "out": str(tmp_path / "o"),
+                                  **(content if where == "config" else {})}))
     if where == "meta":
         (bundle_dir / "meta.json").write_text(json.dumps(content))
     elif where == "f64":
@@ -235,7 +259,13 @@ def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path
     elif where == "shift":
         lines = (bundle_dir / "shift.csv").read_text().splitlines()
         (bundle_dir / "shift.csv").write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n")
-    assert run(["evaluate", "--bundle", bundle_dir, "--config", config, "--out", tmp_path / "o"]) == code
+    elif where == "file":
+        name, raw = content
+        (tmp_path / name).write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["evaluate", "--config", config]) == code
+    assert [str(w.message) for w in caught] == []  # a warning would print a second stderr line
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +65,30 @@ def test_binary_layout(tmp_path):
     # shift tags stay textual even in binary mode
     assert (tmp_path / "b" / "shift.csv").exists()
     assert not (tmp_path / "b" / "shift.f64").exists()
+
+
+def test_binary_write_streams_the_payload(tmp_path):
+    bundle = rich_bundle(seed=3, n=500, c=1000, t=2, d=8)
+    tracemalloc.start()
+    try:
+        write_bundle(bundle, tmp_path / "b", binary=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    files = {
+        "logits": bundle.logits,
+        "labels": bundle.labels.reshape(-1, 1),
+        "mcd_logits": bundle.mcd_logits.reshape(500 * 2, 1000),
+        "features": bundle.features,
+        "external_alpha": bundle.externals["alpha"].reshape(-1, 1),
+        "external_beta": bundle.externals["beta"].reshape(-1, 1),
+    }
+    payload = sum(arr.size * 8 for arr in files.values())
+    # header + tobytes() held two copies of each payload at once
+    assert peak < 0.1 * payload
+    for stem, arr in files.items():
+        reference = b"FDSB" + struct.pack("<III", *arr.shape, 0) + arr.astype("<f8").tobytes()
+        assert (tmp_path / "b" / f"{stem}.f64").read_bytes() == reference
 
 
 def test_binary_bad_magic(tmp_path):
@@ -143,6 +169,13 @@ def test_shape_guards():
         simple_bundle([[1.0]], [0])
     with pytest.raises(ShapeMismatch, match="labels"):
         simple_bundle([[1.0, 0.0], [0.0, 1.0]], [0])
+    # four values in the wrong shape are not flattened into four rows
+    with pytest.raises(ShapeMismatch, match=r"labels: expected shape \(4,\), got \(2, 2\)"):
+        simple_bundle(np.eye(4, 3), [[0, 1], [0, 1]])
+    with pytest.raises(ShapeMismatch, match="external_x"):
+        simple_bundle(np.eye(4, 3), [0, 1, 0, 1], externals={"x": np.ones((2, 2))})
+    with pytest.raises(ShapeMismatch, match="shift"):
+        simple_bundle(np.eye(4, 3), [0, 1, 0, 1], tags=[["IID", "IID"], ["IID", "IID"]])
 
 
 def test_predictions_tie_takes_lowest_index():

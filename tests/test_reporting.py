@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 
 import fdeval.reporting
@@ -5,7 +8,8 @@ from conftest import REPO
 from fdeval import compute_csf, failure_labels, load_bundle, rc_curve
 from fdeval.core import STANDARD
 from fdeval.metrics import RiskCoverageCurve
-from fdeval.reporting import _fixed2, render_rc_svg, safe_name
+from fdeval.protocol import MetricReport
+from fdeval.reporting import _fixed2, render_rc_svg, report_csv_text, safe_name
 
 LEFT, RIGHT, TOP, BOTTOM = 60.0, 440.0, 20.0, 320.0
 
@@ -168,3 +172,20 @@ def test_render_rc_svg_format_calls_do_not_grow_with_points(monkeypatch):
         ties = near_half_hundredths(curve)
         assert ties < 0.05 * curve.coverages.size
         assert format_calls(curve) == base + ties
+
+
+def test_report_csv_names_with_delimiters_round_trip():
+    names = ["a,b", 'say "hi"', "two\nlines", "plain"]
+    report = MetricReport()
+    for i, study in enumerate(names):
+        report.values[(study, f"ext:{study}", "accuracy")] = 0.5
+        report.values[(study, "msr", "aurc")] = i / 8
+        report.ranks[(study, "aurc")] = {"msr": 1}
+    text = report_csv_text(report)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["study", "csf", "metric", "value", "rank"]
+    assert all(len(row) == 5 for row in rows)
+    assert sorted((r[0], r[1], r[2]) for r in rows[1:]) == sorted(report.values)
+    assert ["a,b", "msr", "aurc", "0", "1"] in rows
+    # the writer ends every record in "\n", as the plain join before it did
+    assert "\r" not in text and text.endswith("\n")

@@ -135,6 +135,24 @@ def test_entropy_convention():
     assert _entropy(uniform)[0] == pytest.approx(np.log(c), abs=1e-12)
 
 
+def two_where_entropy(p):
+    """_entropy as it was: the product masked to 0.0 a second time where p == 0."""
+    safe = np.where(p > 0, p, 1.0)
+    return -np.sum(np.where(p > 0, p * np.log(safe), 0.0), axis=-1)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_entropy_matches_two_where_form(precision):
+    rng = np.random.default_rng(13)
+    # logit gaps this wide underflow most probabilities to exact zeros at every precision
+    p = softmax(rng.normal(0.0, 1000.0, size=(2000, 10, 100)), SoftmaxConfig(precision=precision))
+    assert (p == 0).sum() > 1_000_000
+    for q in (p, p.mean(axis=1)):
+        new, old = _entropy(q), two_where_entropy(q)
+        assert np.array_equal(new, old)
+        assert new.tobytes() == old.tobytes()  # the signs of zeros too
+
+
 def test_pe_and_msr_fixtures():
     b = simple_bundle([[50.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0, 0])
     msr = compute_csf(b, "msr").scores
