@@ -48,6 +48,7 @@ from .scores import (
     MahaModel,
     SoftmaxConfig,
     compute_csf,
+    compute_csfs,
     fit_mahalanobis,
     quantize,
     score_mahalanobis,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -38,7 +39,7 @@ from .reporting import (
     write_json,
 )
 from .risk_control import ece, platt_apply, platt_fit, sgr_select
-from .scores import CSF_IDS, EXTERNAL_PREFIX, MLS, MSR, PE, PRECISIONS, SoftmaxConfig, compute_csf
+from .scores import CSF_IDS, EXTERNAL_PREFIX, MLS, MSR, PE, PRECISIONS, SoftmaxConfig, compute_csf, compute_csfs
 
 ENV_SEED = "FDSHIFT_SEED"
 EMIT_KINDS = ("json", "csv", "svg")
@@ -46,6 +47,10 @@ EMIT_KINDS = ("json", "csv", "svg")
 CONFIG_TYPES = {"bundle": str, "out": str, "precision": str, "temperature": (int, float), "csfs": list,
                 "studies": list, "emit": list, "ece_bins": int}
 STUDY_TYPES = {"name": str, "kind": str, "shift_filter": list, "metrics": list}
+# largest ECE bin count: np.linspace builds the bin edges, and 1e6 of them take 8 MB
+MAX_BINS = 10**6
+# Unicode category Cc; in a study or CSF name a lone \r would split a report.csv row
+CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 class ConfigError(Exception):
@@ -78,8 +83,20 @@ def _env_seed() -> int:
 
 def _valid_csf(name: str) -> str:
     if name in CSF_IDS or (name.startswith(EXTERNAL_PREFIX) and len(name) > len(EXTERNAL_PREFIX)):
-        return name
+        return _no_control_chars(name, "CSF")
     raise ConfigError(f"unknown CSF {name!r}; expected one of {CSF_IDS} or '{EXTERNAL_PREFIX}<name>'")
+
+
+def _no_control_chars(name: str, what: str) -> str:
+    if CONTROL_CHARS.search(name):
+        raise ConfigError(f"{what} name {name!r} holds a control character")
+    return name
+
+
+def _valid_bins(bins, what: str) -> int:
+    if isinstance(bins, bool) or not 1 <= bins <= MAX_BINS:
+        raise ConfigError(f"{what} must be an integer in [1, {MAX_BINS}], got {bins!r}")
+    return bins
 
 
 def _check_json_object(value, types: dict, what: str) -> None:
@@ -101,7 +118,7 @@ def build_run_config(args) -> RunConfig:
             raise ConfigError(f"config file {path} not found")
         try:
             data = json.loads(path.read_text())
-        except ValueError as exc:  # invalid JSON, or bytes that are no UTF-8
+        except (OSError, ValueError) as exc:  # unreadable, invalid JSON, or bytes that are no UTF-8
             raise ConfigError(f"config file {path}: {exc}")
         _check_json_object(data, CONFIG_TYPES, "config")
 
@@ -126,7 +143,7 @@ def build_run_config(args) -> RunConfig:
         _check_json_object(entry, STUDY_TYPES, "study")
         try:
             spec = StudySpec(
-                name=entry.get("name", ""),
+                name=_no_control_chars(entry.get("name", ""), "study"),
                 kind=entry.get("kind", STANDARD),
                 shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
                 metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
@@ -149,9 +166,7 @@ def build_run_config(args) -> RunConfig:
         if e not in EMIT_KINDS:
             raise ConfigError(f"unknown emit kind {e!r}; expected subset of {EMIT_KINDS}")
 
-    ece_bins = data.get("ece_bins", 15)
-    if isinstance(ece_bins, bool) or ece_bins < 1:
-        raise ConfigError(f"ece_bins must be a positive integer, got {ece_bins!r}")
+    ece_bins = _valid_bins(data.get("ece_bins", 15), "ece_bins")
     return RunConfig(
         bundle=bundle,
         out=out,
@@ -209,6 +224,7 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
                     raise ConfigError(
                         f"study {spec.name!r} CSF {csf!r} and study {other[0]!r} CSF {other[1]!r} both write {name}"
                     )
+    scores = compute_csfs(bundle, rc.csfs, rc.softmax)
     rc.out.mkdir(parents=True, exist_ok=True)
     svgs = []
 
@@ -220,7 +236,7 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
     on_curve = write_svg if "svg" in rc.emit else None
     report = MetricReport()
     for spec in studies:
-        report.merge(run_study(bundle, spec, rc.csfs, rc.softmax, ece_bins=rc.ece_bins, on_curve=on_curve))
+        report.merge(run_study(bundle, spec, scores, rc.softmax, ece_bins=rc.ece_bins, on_curve=on_curve))
     rank_table(report)
 
     written = []
@@ -274,12 +290,13 @@ def cmd_sgr(rc: RunConfig, args) -> int:
 
 
 def cmd_calibrate(rc: RunConfig, args) -> int:
+    bins = _valid_bins(args.bins, "--bins")
     bundle = _require_bundle(rc)
     fl = failure_labels(bundle, STANDARD)
     vec = compute_csf(bundle, args.csf, rc.softmax)
     model = platt_fit(vec, fl.residuals, prior_smoothing=args.smoothing)
     calibrated = platt_apply(model, vec)
-    value = ece(calibrated, fl.residuals, bins=args.bins)
+    value = ece(calibrated, fl.residuals, bins=bins)
     rc.out.mkdir(parents=True, exist_ok=True)
     path = write_json(
         rc.out / "calibration.json",
@@ -288,7 +305,7 @@ def cmd_calibrate(rc: RunConfig, args) -> int:
             "a": model.a,
             "b": model.b,
             "n_iter": model.n_iter,
-            "bins": args.bins,
+            "bins": bins,
             "smoothing": bool(args.smoothing),
             "ece": value,
         },
@@ -353,8 +370,7 @@ def cmd_verify(rc: RunConfig, args) -> int:
     csfs = args.csf or [MSR, PE, MLS]
     aurc_dev = 0.0
     auroc_dev = 0.0
-    for csf in csfs:
-        vec = compute_csf(bundle, csf, rc.softmax)
+    for vec in compute_csfs(bundle, csfs, rc.softmax).values():
         fast = aurc(rc_curve(vec, fl))
         ref = aurc_oracle(vec.scores, fl.residuals, fl.eval_mask)
         aurc_dev = max(aurc_dev, abs(fast - ref))
@@ -436,7 +452,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FdevalError as exc:
+    except (FdevalError, OSError) as exc:  # OSError: an output that cannot be created or written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

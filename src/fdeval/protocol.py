@@ -26,7 +26,8 @@ from .core import (
 from .errors import EmptyEvaluationSet, FdevalError, InvalidParameter
 from . import metrics as M
 from .risk_control import ece, platt_apply, platt_fit
-from .scores import SoftmaxConfig, compute_csf, softmax
+# compute_csf is not called here; fdbench/tracing.py binds fdeval.protocol.compute_csf by name
+from .scores import ConfidenceVector, SoftmaxConfig, compute_csf, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
 KNOWN_METRICS = (
@@ -83,36 +84,35 @@ class MetricReport:
         return self
 
 
-def _ece_of(vec, flabels, bins: int) -> float:
-    s = vec.scores
-    if s.min() >= 0.0 and s.max() <= 1.0:
-        calibrated = s
+def _ece_of(conf: np.ndarray, flabels, bins: int) -> float:
+    if conf.min() >= 0.0 and conf.max() <= 1.0:
+        calibrated = conf
     else:
-        masked_scores = s[flabels.eval_mask]
-        masked_res = flabels.residuals[flabels.eval_mask]
-        model = platt_fit(masked_scores, masked_res)
-        calibrated = platt_apply(model, s)
-    return ece(calibrated[flabels.eval_mask], flabels.residuals[flabels.eval_mask], bins=bins)
+        calibrated = platt_apply(platt_fit(conf, flabels), conf)
+    return ece(calibrated, flabels, bins=bins)
 
 
 def run_study(
     bundle: PredictionBundle,
     spec: StudySpec,
-    csf_ids,
+    scores: dict[str, ConfidenceVector],
     cfg: SoftmaxConfig | None = None,
     ece_bins: int = 15,
     on_curve=None,
 ) -> MetricReport:
-    """Evaluate every requested CSF under one study; returns a report fragment.
+    """Evaluate every scored CSF under one study; returns a report fragment.
 
-    Every ranking metric of a CSF is read off one sort of its confidences.
-    on_curve(study name, csf, curve), when given, receives each CSF's curve.
+    scores maps each CSF to its confidences over all bundle rows, as
+    compute_csfs gives them; the study keeps the rows its shift filter
+    selects. Every ranking metric of a CSF is read off one sort of its
+    confidences. on_curve(study name, csf, curve), when given, receives each
+    CSF's curve.
     """
     cfg = cfg or SoftmaxConfig()
     keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
     if not keep.any():
         raise EmptyEvaluationSet(f"study {spec.name!r}: no samples match {spec.shift_filter}")
-    sub = bundle.select(keep)
+    sub = PredictionBundle(logits=bundle.logits[keep], labels=bundle.labels[keep], shift_tags=bundle.shift_tags[keep])
     flabels = failure_labels(sub, spec.kind)
 
     report = MetricReport()
@@ -125,12 +125,12 @@ def run_study(
     probs = None
     inlier = sub.labels < sub.n_classes
     needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
-    for csf in csf_ids:
+    for csf, vec in scores.items():
         try:
-            vec = compute_csf(sub, csf, cfg)
+            conf = vec.scores[keep]
             if needs_sweep:
-                conf, res = M._masked(vec, flabels)
-                sweep = M._Sweep(conf)
+                conf_eval, res = M._masked(conf, flabels)
+                sweep = M._Sweep(conf_eval)
             curve = None
             for metric in spec.metrics:
                 if metric in ("aurc", "e-aurc") and curve is None:
@@ -155,7 +155,7 @@ def run_study(
                     fn = M.nll if metric == "nll" else M.brier
                     value = fn(probs[inlier], sub.labels[inlier])
                 elif metric == "ece":
-                    value = _ece_of(vec, flabels, ece_bins)
+                    value = _ece_of(conf, flabels, ece_bins)
                 else:  # unreachable, StudySpec validates names
                     raise InvalidParameter(f"unknown metric {metric!r}")
                 report.values[(spec.name, csf, metric)] = float(value)

@@ -36,12 +36,18 @@ def _clopper_pearson_upper(k: int, m: int, delta: float) -> float:
     return float(betaincinv(k + 1, m - k, 1.0 - delta))
 
 
+def _evaluated(scores, residuals) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and residuals of the evaluated rows: a FailureLabels eval_mask drops the dismissed ones."""
+    s = _conf_array(scores)
+    res, mask = _residuals_and_mask(residuals)
+    if s.shape != res.shape:
+        raise InvalidParameter(f"scores {s.shape} and residuals {res.shape} do not align")
+    return s[mask], res[mask]
+
+
 def sgr_select(scores, residuals, r_star: float, delta: float) -> SgrResult:
     """Largest-coverage threshold whose bounded selective risk stays <= r_star."""
-    conf = _conf_array(scores)
-    res, _ = _residuals_and_mask(residuals)
-    if conf.shape != res.shape:
-        raise InvalidParameter(f"scores {conf.shape} and residuals {res.shape} do not align")
+    conf, res = _evaluated(scores, residuals)
     n = conf.shape[0]
     if n < 10:
         raise InvalidParameter(f"need at least 10 samples, got {n}")
@@ -115,10 +121,7 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
     counts; off by default so that downstream thresholds stay comparable to
     the raw fit.
     """
-    s = _conf_array(scores)
-    res, _ = _residuals_and_mask(residuals)
-    if s.shape != res.shape:
-        raise InvalidParameter(f"scores {s.shape} and residuals {res.shape} do not align")
+    s, res = _evaluated(scores, residuals)
     y = (res == 0).astype(np.float64)
     n_pos, n_neg = float(y.sum()), float((1 - y).sum())
     if n_pos == 0 or n_neg == 0:
@@ -172,11 +175,7 @@ def platt_apply(model: PlattModel, scores) -> np.ndarray:
 
 def ece(calibrated_scores, residuals, bins: int = 15) -> float:
     """Expected calibration error over equal-width, right-closed bins on [0, 1]."""
-    s = _conf_array(calibrated_scores)
-    res, mask = _residuals_and_mask(residuals)
-    if s.shape != res.shape:
-        raise InvalidParameter(f"scores {s.shape} and residuals {res.shape} do not align")
-    s, res = s[mask], res[mask]
+    s, res = _evaluated(calibrated_scores, residuals)
     if bins < 1:
         raise InvalidParameter(f"bins must be >= 1, got {bins}")
     if s.size == 0:

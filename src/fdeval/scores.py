@@ -39,6 +39,7 @@ F16 = "f16"
 F32 = "f32"
 F64 = "f64"
 PRECISIONS = (F16, F32, F64)
+_DTYPES = {F16: np.float16, F32: np.float32, F64: np.float64}
 
 MSR = "msr"
 PE = "pe"
@@ -79,14 +80,9 @@ def _round_f16(x: np.ndarray) -> np.ndarray:
 
 def quantize(arr: np.ndarray, precision: str) -> np.ndarray:
     """Round array entries to the storage grid of the given precision."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if precision == F64:
-        return arr
-    if precision == F32:
-        return arr.astype(np.float32).astype(np.float64)
-    if precision == F16:
-        return _round_f16(arr)
-    raise InvalidParameter(f"unknown precision {precision!r}")
+    if precision not in _DTYPES:
+        raise InvalidParameter(f"unknown precision {precision!r}")
+    return np.asarray(arr, dtype=np.float64).astype(_DTYPES[precision], copy=False).astype(np.float64, copy=False)
 
 
 def _softmax_f16(x: np.ndarray, temperature: float) -> np.ndarray:
@@ -110,15 +106,10 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     if cfg.precision == F16:
         return _softmax_f16(x, cfg.temperature)
-    if cfg.precision == F32:
-        x32 = x.astype(np.float32) / np.float32(cfg.temperature)
-        m = np.max(x32, axis=-1, keepdims=True)
-        e = np.exp(x32 - m)
-        return (e / np.sum(e, axis=-1, keepdims=True)).astype(np.float64)
-    x = x / cfg.temperature
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    dtype = _DTYPES[cfg.precision]
+    x = x.astype(dtype, copy=False) / dtype(cfg.temperature)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return (e / np.sum(e, axis=-1, keepdims=True)).astype(np.float64, copy=False)
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -136,18 +127,18 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     feats = np.asarray(train_features, dtype=np.float64)
     labels = np.asarray(train_labels).astype(np.int64).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
-        raise InvalidParameter(f"features {feats.shape} and labels {labels.shape} do not align")
+        raise InvalidParameter(f"maha: features {feats.shape} and labels {labels.shape} do not align")
     if feats.shape[1] == 0:
-        raise InvalidParameter("features have zero width")
+        raise InvalidParameter("maha: features have zero width")
     class_ids = np.unique(labels)
     if class_ids.size < 1:
-        raise ClassUnderpopulated("no training rows")
+        raise ClassUnderpopulated("maha: no training rows")
     means = np.empty((class_ids.size, feats.shape[1]))
     centered = np.empty_like(feats)
     for k, cls in enumerate(class_ids):
         rows = labels == cls
         if rows.sum() < 2:
-            raise ClassUnderpopulated(f"class {cls} has {int(rows.sum())} rows, need at least 2")
+            raise ClassUnderpopulated(f"maha: class {cls} has {int(rows.sum())} rows, need at least 2")
         means[k] = feats[rows].mean(axis=0)
         centered[rows] = feats[rows] - means[k]
     cov = centered.T @ centered / feats.shape[0]
@@ -156,9 +147,9 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     try:
         chol = cholesky(cov, lower=True)
     except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
-        raise SingularCovariance(f"covariance not positive definite (ridge {lam:g}): {exc}") from exc
+        raise SingularCovariance(f"maha: covariance not positive definite (ridge {lam:g}): {exc}") from exc
     except ValueError as exc:  # cholesky's finiteness check: NaN/inf features, or an overflowed covariance
-        raise NonFiniteValue(f"covariance has non-finite entries: {exc}") from exc
+        raise NonFiniteValue(f"maha: covariance has non-finite entries: {exc}") from exc
     return MahaModel(class_ids=class_ids, means=means, chol_lower=chol, ridge=lam)
 
 
@@ -238,54 +229,59 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
     return ConfidenceVector(csf_id=MAHA, scores=-best + 0.0, precision_mode=F64)
 
 
-def _maha_from_bundle(bundle: PredictionBundle) -> MahaModel:
-    # desk-scale convention: fit on the bundle's own inlier-labeled rows
-    inlier = bundle.labels < bundle.n_classes
-    return fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
+def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None) -> dict[str, ConfidenceVector]:
+    """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
+
+    One logits softmax feeds msr and pe; one MC-dropout softmax, its mean over passes and its expected
+    entropy feed mcd-msr, mcd-pe, mcd-ee and mcd-mi. maha is fitted once, on the inlier-labeled rows.
+    """
+    cfg = cfg or SoftmaxConfig()
+    p = mean_p = expected_entropy = None
+    if not {MSR, PE}.isdisjoint(csf_ids):
+        p = softmax(bundle.logits, cfg)
+    if not {MCD_MSR, MCD_PE, MCD_EE, MCD_MI}.isdisjoint(csf_ids) and bundle.mcd_logits is not None:
+        p_mc = softmax(bundle.mcd_logits, cfg)       # per pass, then aggregate
+        mean_p = np.mean(p_mc, axis=1)
+        if not {MCD_EE, MCD_MI}.isdisjoint(csf_ids):
+            expected_entropy = np.mean(_entropy(p_mc), axis=-1)
+        del p_mc
+    formulas = {
+        MSR: lambda: np.max(p, axis=-1),
+        PE: lambda: -_entropy(p),
+        MLS: lambda: np.max(bundle.logits, axis=-1),
+        MCD_MSR: lambda: np.max(mean_p, axis=-1),
+        MCD_PE: lambda: -_entropy(mean_p),
+        MCD_EE: lambda: -expected_entropy,
+        MCD_MI: lambda: -(_entropy(mean_p) - expected_entropy),  # predictive minus expected entropy, negated
+        MCD_MLS: lambda: np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1),
+    }
+
+    out = {}
+    for csf_id in csf_ids:
+        if csf_id.startswith(EXTERNAL_PREFIX):
+            name = csf_id[len(EXTERNAL_PREFIX):]
+            if name not in bundle.externals:
+                raise UnknownExternal(f"external score {name!r} not in bundle (has {sorted(bundle.externals)})")
+            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=bundle.externals[name].copy(), precision_mode=F64)
+        elif csf_id not in CSF_IDS:
+            raise InvalidParameter(f"unknown CSF {csf_id!r}")
+        elif csf_id == MAHA:
+            if bundle.features is None:
+                raise MissingFeatures("maha requires bundle features")
+            inlier = bundle.labels < bundle.n_classes    # one fit, so a row has one maha score in every study
+            model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
+            out[csf_id] = score_mahalanobis(model, bundle.features)
+        elif csf_id.startswith("mcd-") and bundle.mcd_logits is None:
+            raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
+        else:
+            scores = formulas[csf_id]()
+            if np.isnan(scores).any():
+                row = int(np.argwhere(np.isnan(scores))[0][0])
+                raise NonFiniteValue(f"{csf_id}: NaN score at row {row}")
+            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=cfg.precision)
+    return out
 
 
 def compute_csf(bundle: PredictionBundle, csf_id: str, cfg: SoftmaxConfig | None = None) -> ConfidenceVector:
     """Evaluate one confidence scoring function over all bundle rows."""
-    cfg = cfg or SoftmaxConfig()
-
-    if csf_id.startswith(EXTERNAL_PREFIX):
-        name = csf_id[len(EXTERNAL_PREFIX):]
-        if name not in bundle.externals:
-            raise UnknownExternal(f"external score {name!r} not in bundle (has {sorted(bundle.externals)})")
-        return ConfidenceVector(csf_id=csf_id, scores=bundle.externals[name].copy(), precision_mode=F64)
-
-    if csf_id not in CSF_IDS:
-        raise InvalidParameter(f"unknown CSF {csf_id!r}")
-
-    if csf_id == MAHA:
-        if bundle.features is None:
-            raise MissingFeatures("maha requires bundle features")
-        return score_mahalanobis(_maha_from_bundle(bundle), bundle.features)
-
-    if csf_id in (MSR, PE):
-        p = softmax(bundle.logits, cfg)
-        scores = np.max(p, axis=-1) if csf_id == MSR else -_entropy(p)
-    elif csf_id == MLS:
-        scores = np.max(bundle.logits, axis=-1)
-    else:
-        if bundle.mcd_logits is None:
-            raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
-        if csf_id == MCD_MLS:
-            scores = np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1)
-        else:
-            p = softmax(bundle.mcd_logits, cfg)       # per pass, then aggregate
-            mean_p = np.mean(p, axis=1)
-            if csf_id == MCD_MSR:
-                scores = np.max(mean_p, axis=-1)
-            elif csf_id == MCD_PE:
-                scores = -_entropy(mean_p)
-            elif csf_id == MCD_EE:
-                scores = -np.mean(_entropy(p), axis=-1)
-            else:  # MCD_MI = predictive entropy minus expected entropy, negated
-                scores = -(_entropy(mean_p) - np.mean(_entropy(p), axis=-1))
-
-    scores = np.asarray(scores, dtype=np.float64)
-    if np.isnan(scores).any():
-        row = int(np.argwhere(np.isnan(scores))[0][0])
-        raise NonFiniteValue(f"{csf_id}: NaN score at row {row}")
-    return ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=cfg.precision)
+    return compute_csfs(bundle, [csf_id], cfg)[csf_id]

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -16,6 +17,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def load_fdbench_module(name: str):
+    """Import fdbench/<name>.py, which is a script directory rather than a package."""
+    module_name = f"fdbench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(module_name, REPO / "fdbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module  # dataclasses look their module up while the file runs
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]
 
 
 @pytest.fixture

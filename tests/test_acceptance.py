@@ -25,6 +25,7 @@ from fdeval import (
     auroc_oracle,
     audit,
     compute_csf,
+    compute_csfs,
     e_aurc,
     ece,
     failure_labels,
@@ -199,7 +200,7 @@ def test_c8_newclass_masking_protocol():
             shift_filter=("IID", "NEWCLASS_SEMANTIC", "NEWCLASS_NONSEMANTIC"),
             metrics=("aurc", "accuracy"),
         )
-        report = run_study(b, spec, ["msr"])
+        report = run_study(b, spec, compute_csfs(b, ["msr"]))
         info = report.study_info["shift"]
         fl = failure_labels(b, NEWCLASS)
         iid_failures = int(((b.shift_tags == "IID") & (fl.residuals == 1)).sum())

@@ -9,8 +9,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import REPO, simple_bundle
-from fdeval import compute_csf, load_bundle, write_bundle
+import fdeval.protocol
+import fdeval.scores
+from conftest import REPO, load_fdbench_module, simple_bundle
+from fdeval import CSF_IDS, PredictionBundle, compute_csf, load_bundle, write_bundle
 from fdeval.cli import main
 
 
@@ -177,6 +179,7 @@ def test_config_file_flow(toy_bundle_dir, tmp_path):
 
 def test_config_errors_exit_2(toy_bundle_dir, tmp_path):
     assert run(["evaluate", "--config", tmp_path / "missing.json"]) == 2
+    assert run(["evaluate", "--config", tmp_path]) == 2  # a directory, not a file
     bad = tmp_path / "bad.json"
     bad.write_text('{"nonsense": 1}')
     assert run(["evaluate", "--config", bad, "--bundle", toy_bundle_dir]) == 2
@@ -241,6 +244,12 @@ BROKEN_INPUTS = {
     "shift-not-utf8": ("file", ("bundle/shift.csv", b"IID\nI\xffD\nIID\nIID\n"), 1),
     "logits-csv-empty": ("file", ("bundle/logits.csv", ""), 1),
     "label-overflows-int64": ("file", ("bundle/labels.csv", "0\n1e300\n0\n1\n"), 1),
+    "ece-bins-huge": ("config", {"ece_bins": 10**30, "studies": [{"name": "s", "metrics": ["ece"]}]}, 2),
+    # --out names a regular file, so the output directory cannot be created
+    "out-is-a-file": ("file", ("o", "not a directory\n"), 1),
+    # a lone \r would split the study's report.csv rows in two
+    "study-name-control-char": ("config", {"studies": [{"name": "a\rb"}]}, 2),
+    "csf-name-control-char": ("config", {"csfs": ["msr", "ext:a\rb"]}, 2),
 }
 
 
@@ -282,3 +291,48 @@ def test_cli_import_leaves_scipy_stats_out():
 def test_bad_flag_values_exit_2(toy_bundle_dir):
     assert run(["score", "--bundle", toy_bundle_dir, "--csf", "msr", "--precision", "f8"]) == 2
     assert run(["score", "--bundle", toy_bundle_dir, "--csf", "msr", "--temperature", "-1"]) == 2
+    assert run(["calibrate", "--bundle", toy_bundle_dir, "--bins", str(10**30)]) == 2
+
+
+def write_workload(tmp_path, name, config=None):
+    """A small bundle of the fdbench workload's kind, and its run config (or the one given)."""
+    workloads = load_fdbench_module("workloads")
+    w = workloads.WORKLOADS[name]
+    shape = workloads.Shape(n=200, c=5, t=3 if w.shape.t else 0, d=4 if w.shape.d else 0,
+                            tied_external=w.shape.tied_external)
+    bundle_dir = write_bundle(workloads.generate(shape, 3), tmp_path / "bundle", binary=True)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(config or w.config, bundle=str(bundle_dir), out=str(tmp_path / "o"))))
+    return path
+
+
+@pytest.mark.parametrize("workload, calls", [("scores-wide", 3), ("ranking-100k", 1), ("calibration-100k", 2)])
+def test_evaluate_softmaxes_each_logits_array_once(workload, calls, tmp_path, monkeypatch):
+    # the logits and the MC stack once each for the CSFs, and the logits once more per study with nll or brier
+    counted = []
+    real = fdeval.scores.softmax
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fdeval.scores, "softmax", counting)
+    monkeypatch.setattr(fdeval.protocol, "softmax", counting)
+    assert run(["evaluate", "--config", write_workload(tmp_path, workload)]) == 0
+    assert len(counted) == calls
+
+
+def test_evaluate_never_copies_the_bundle(tmp_path, monkeypatch):
+    metrics = ["aurc", "e-aurc", "auroc-f", "ap-f", "accuracy", "nll", "brier", "ece"]
+    config = {"csfs": list(CSF_IDS), "studies": [
+        {"name": "all", "metrics": metrics},
+        {"name": "iid", "shift_filter": ["IID"], "metrics": metrics},
+        {"name": "new", "kind": "newclass", "shift_filter": ["IID", "NEWCLASS_SEMANTIC"],
+         "metrics": metrics + ["auroc-out"]},
+    ]}
+
+    def refuse(self, mask):
+        raise AssertionError("evaluate copied the bundle")
+
+    monkeypatch.setattr(PredictionBundle, "select", refuse)
+    assert run(["evaluate", "--config", write_workload(tmp_path, "scores-wide", config), "--emit", "json,svg"]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import newclass_bundle, simple_bundle
+from conftest import load_fdbench_module, newclass_bundle, simple_bundle
 from fdeval import (
     MetricReport,
     SoftmaxConfig,
@@ -14,6 +14,7 @@ from fdeval import (
     auroc_out,
     brier,
     compute_csf,
+    compute_csfs,
     e_aurc,
     ece,
     failure_labels,
@@ -24,7 +25,13 @@ from fdeval import (
     softmax,
 )
 from fdeval.core import NEWCLASS, STANDARD
-from fdeval.errors import EmptyEvaluationSet, InvalidParameter, MissingMcdStack
+from fdeval.errors import (
+    ClassUnderpopulated,
+    DegenerateLabels,
+    EmptyEvaluationSet,
+    InvalidParameter,
+    MissingMcdStack,
+)
 from fdeval.protocol import DEFAULT_METRICS, KNOWN_METRICS, LOWER_BETTER
 
 
@@ -38,7 +45,7 @@ def standard_bundle(seed=13, n=40, c=4):
 def test_run_study_matches_direct_calls():
     b = standard_bundle()
     spec = StudySpec(name="std", metrics=tuple(m for m in KNOWN_METRICS if m != "auroc-out"))
-    report = run_study(b, spec, ["msr", "ext:demo"])
+    report = run_study(b, spec, compute_csfs(b, ["msr", "ext:demo"]))
     fl = failure_labels(b, STANDARD)
     probs = softmax(b.logits)
     for csf in ("msr", "ext:demo"):
@@ -64,7 +71,7 @@ def test_run_study_matches_direct_calls():
 def test_run_study_ece_uses_raw_scores_when_already_probabilities():
     b = standard_bundle()
     spec = StudySpec(name="std", metrics=("ece",))
-    report = run_study(b, spec, ["msr"], ece_bins=10)
+    report = run_study(b, spec, compute_csfs(b, ["msr"]), ece_bins=10)
     fl = failure_labels(b, STANDARD)
     msr = compute_csf(b, "msr").scores
     assert report.values[("std", "msr", "ece")] == ece(msr, fl.residuals, bins=10)
@@ -73,7 +80,7 @@ def test_run_study_ece_uses_raw_scores_when_already_probabilities():
 def test_run_study_ece_calibrates_unbounded_scores():
     b = standard_bundle()
     spec = StudySpec(name="std", metrics=("ece",))
-    report = run_study(b, spec, ["mls"])
+    report = run_study(b, spec, compute_csfs(b, ["mls"]))
     value = report.values[("std", "mls", "ece")]
     assert 0.0 <= value <= 1.0
 
@@ -86,7 +93,7 @@ def test_newclass_study_masks_and_counts():
         shift_filter=("IID", "NEWCLASS_SEMANTIC", "NEWCLASS_NONSEMANTIC"),
         metrics=("aurc", "auroc-f", "auroc-out", "accuracy"),
     )
-    report = run_study(b, spec, ["msr"])
+    report = run_study(b, spec, compute_csfs(b, ["msr"]))
     info = report.study_info["ood"]
     assert info["n"] == 10
     assert info["n_evaluated"] == 8  # two misclassified inliers dismissed
@@ -118,7 +125,8 @@ def test_run_study_sorts_once_per_csf(monkeypatch):
         metrics=("aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "auroc-out"),
     )
     curves = []
-    report = run_study(newclass_bundle(), spec, ["msr", "pe", "mls"], on_curve=lambda *args: curves.append(args))
+    b = newclass_bundle()
+    report = run_study(b, spec, compute_csfs(b, ["msr", "pe", "mls"]), on_curve=lambda *args: curves.append(args))
     assert len(sorts) == 3
     assert [(study, csf) for study, csf, _ in curves] == [("ood", "msr"), ("ood", "pe"), ("ood", "mls")]
     for _, csf, curve in curves:
@@ -128,7 +136,7 @@ def test_run_study_sorts_once_per_csf(monkeypatch):
 def test_shift_filter_slices_rows():
     b = newclass_bundle()
     spec = StudySpec(name="iid-only", shift_filter=("IID",), metrics=("accuracy",))
-    report = run_study(b, spec, ["msr"])
+    report = run_study(b, spec, compute_csfs(b, ["msr"]))
     assert report.study_info["iid-only"]["n"] == 6
     assert report.values[("iid-only", "msr", "accuracy")] == pytest.approx(4 / 6, abs=1e-15)
 
@@ -137,14 +145,21 @@ def test_empty_filter_raises():
     b = standard_bundle()
     spec = StudySpec(name="cov", shift_filter=("COVARIATE",), metrics=("accuracy",))
     with pytest.raises(EmptyEvaluationSet, match="cov"):
-        run_study(b, spec, ["msr"])
+        run_study(b, spec, compute_csfs(b, ["msr"]))
 
 
 def test_study_errors_are_annotated_with_study_and_csf():
     b = standard_bundle()
-    spec = StudySpec(name="std", metrics=("aurc",))
-    with pytest.raises(MissingMcdStack, match=r"\[study std / mcd-msr\]"):
-        run_study(b, spec, ["mcd-msr"])
+    # a metric error names the study and the CSF it came from
+    spec = StudySpec(name="std", metrics=("auroc-out",))
+    with pytest.raises(DegenerateLabels, match=r"^\[study std / pe\] "):
+        run_study(b, spec, compute_csfs(b, ["pe"]))
+    # scores belong to the run, not to a study: a scoring error names its CSF only
+    with pytest.raises(MissingMcdStack, match=r"^mcd-msr requires"):
+        compute_csfs(b, ["msr", "mcd-msr"])
+    one_row_per_class = simple_bundle(b.logits[:4], [0, 1, 2, 3], features=np.eye(4))
+    with pytest.raises(ClassUnderpopulated, match=r"^maha: class 0 has 1 rows"):
+        compute_csfs(one_row_per_class, ["maha"])
 
 
 def test_study_spec_validation():
@@ -181,8 +196,9 @@ def test_rank_table_competition_ranks():
 
 
 def test_report_merge():
-    r1 = run_study(standard_bundle(), StudySpec(name="one", metrics=("aurc",)), ["msr"])
-    r2 = run_study(standard_bundle(), StudySpec(name="two", metrics=("aurc",)), ["msr"])
+    b = standard_bundle()
+    r1 = run_study(b, StudySpec(name="one", metrics=("aurc",)), compute_csfs(b, ["msr"]))
+    r2 = run_study(b, StudySpec(name="two", metrics=("aurc",)), compute_csfs(b, ["msr"]))
     merged = r1.merge(r2)
     assert ("one", "msr", "aurc") in merged.values
     assert ("two", "msr", "aurc") in merged.values
@@ -193,8 +209,9 @@ def test_precision_config_threads_through():
     # two high-gap rows an f16 softmax collapses onto 1.0, two moderate rows
     b = simple_bundle([[20.0, 0.0], [18.0, 0.0], [0.5, 0.0], [0.3, 0.0]], [0, 1, 0, 1])
     spec = StudySpec(name="std", metrics=("aurc",))
-    r64 = run_study(b, spec, ["msr"], SoftmaxConfig(precision="f64"))
-    r16 = run_study(b, spec, ["msr"], SoftmaxConfig(precision="f16"))
+    f64, f16 = SoftmaxConfig(precision="f64"), SoftmaxConfig(precision="f16")
+    r64 = run_study(b, spec, compute_csfs(b, ["msr"], f64), f64)
+    r16 = run_study(b, spec, compute_csfs(b, ["msr"], f16), f16)
     v64 = r64.values[("std", "msr", "aurc")]
     v16 = r16.values[("std", "msr", "aurc")]
     fl = failure_labels(b, STANDARD)
@@ -204,3 +221,24 @@ def test_precision_config_threads_through():
     # f64 separates the top two rows, f16 ties them: the curves disagree
     assert v64 == pytest.approx(13 / 48, abs=1e-12)
     assert v16 == pytest.approx(19 / 48, abs=1e-12)
+
+
+def test_a_row_has_one_maha_score_in_every_study():
+    workloads = load_fdbench_module("workloads")
+    b = workloads.generate(workloads.Shape(n=300, c=4, d=6), 11)   # IID, COVARIATE and new-class rows
+    scores = compute_csfs(b, ["maha", "msr"])
+    maha = compute_csf(b, "maha").scores
+    assert scores["maha"].scores.tobytes() == maha.tobytes()
+    studies = [
+        StudySpec(name="all", metrics=("aurc",)),
+        StudySpec(name="iid", shift_filter=("IID",), metrics=("aurc",)),
+        StudySpec(name="new", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC"), metrics=("aurc",)),
+    ]
+    for spec in studies:
+        curves = {}
+        run_study(b, spec, scores, on_curve=lambda study, csf, curve: curves.setdefault(csf, curve))
+        keep = np.isin(b.shift_tags, spec.shift_filter)
+        # the study ranks its rows by the run's maha scores, not by a fit on its own rows
+        want = rc_curve(maha[keep], failure_labels(b.select(keep), spec.kind))
+        assert curves["maha"].coverages.tobytes() == want.coverages.tobytes(), spec.name
+        assert curves["maha"].risks.tobytes() == want.risks.tobytes(), spec.name

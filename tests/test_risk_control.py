@@ -5,8 +5,8 @@ import pytest
 from scipy.special import betainc
 
 import fdeval.risk_control
-from conftest import both_outcomes_instance
-from fdeval import aurc, auroc_f, ece, platt_apply, platt_fit, rc_curve, sgr_select
+from conftest import both_outcomes_instance, simple_bundle
+from fdeval import NEWCLASS, aurc, auroc_f, compute_csf, ece, failure_labels, platt_apply, platt_fit, rc_curve, sgr_select
 from fdeval.errors import (
     DegenerateLabels,
     InvalidParameter,
@@ -264,3 +264,20 @@ def test_ece_guards():
         ece(np.array([0.5]), np.array([0]), bins=0)
     with pytest.raises(InvalidParameter):
         ece(np.zeros(0), np.zeros(0, dtype=int))
+
+
+def test_sgr_and_platt_honour_the_eval_mask():
+    rng = np.random.default_rng(8)
+    n, c = 400, 3
+    tags = np.where(rng.random(n) < 0.2, "NEWCLASS_SEMANTIC", "IID")
+    labels = np.where(tags == "IID", rng.integers(0, c, n), c)
+    b = simple_bundle(rng.normal(0.0, 2.0, (n, c)), labels, tags=tags)
+    fl = failure_labels(b, NEWCLASS)
+    mask = fl.eval_mask
+    assert 0 < (~mask).sum() < n   # the new-class protocol dismissed some inlier failures
+    s, res = compute_csf(b, "msr").scores, fl.residuals
+    assert platt_fit(s, fl) == platt_fit(s[mask], res[mask])
+    assert sgr_select(s, fl, r_star=0.6, delta=0.1) == sgr_select(s[mask], res[mask], r_star=0.6, delta=0.1)
+    for fn in (platt_fit, lambda x, y: sgr_select(x, y, r_star=0.6, delta=0.1)):
+        with pytest.raises(InvalidParameter, match="do not align"):
+            fn(s[:-1], fl)

@@ -11,6 +11,7 @@ from fdeval import (
     ConfidenceVector,
     SoftmaxConfig,
     compute_csf,
+    compute_csfs,
     fit_mahalanobis,
     quantize,
     score_mahalanobis,
@@ -25,7 +26,7 @@ from fdeval.errors import (
     SingularCovariance,
     UnknownExternal,
 )
-from fdeval.scores import CSF_IDS, F16, F32, F64, PRECISIONS, _entropy
+from fdeval.scores import CSF_IDS, F16, F32, F64, PRECISIONS, _entropy, _round_f16, _softmax_f16
 
 ROW_SUM_TOL = {F64: 1e-12, F32: 1e-5, F16: 1e-2}
 
@@ -385,3 +386,110 @@ def test_confidence_vector_carries_mode():
     assert vec.precision_mode == F16
     assert vec.csf_id == "msr"
     assert set(CSF_IDS) >= {"msr", "pe", "mls", "maha"}
+
+
+# The scoring code as it was before compute_csfs, kept as the exact reference:
+# softmax with separate f32 and f64 branches, quantize with one branch per
+# precision, and one compute_csf body that softmaxes afresh for every CSF.
+def old_softmax(logits, cfg=None):
+    cfg = cfg or SoftmaxConfig()
+    x = np.asarray(logits, dtype=np.float64)
+    if cfg.precision == F16:
+        return _softmax_f16(x, cfg.temperature)
+    if cfg.precision == F32:
+        x32 = x.astype(np.float32) / np.float32(cfg.temperature)
+        m = np.max(x32, axis=-1, keepdims=True)
+        e = np.exp(x32 - m)
+        return (e / np.sum(e, axis=-1, keepdims=True)).astype(np.float64)
+    x = x / cfg.temperature
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def old_quantize(arr, precision):
+    arr = np.asarray(arr, dtype=np.float64)
+    if precision == F64:
+        return arr
+    if precision == F32:
+        return arr.astype(np.float32).astype(np.float64)
+    return _round_f16(arr)
+
+
+def old_compute_csf(bundle, csf_id, cfg=None):
+    cfg = cfg or SoftmaxConfig()
+    if csf_id.startswith("ext:"):
+        return bundle.externals[csf_id[4:]].copy(), F64
+    if csf_id == "maha":
+        inlier = bundle.labels < bundle.n_classes
+        model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
+        return score_mahalanobis(model, bundle.features).scores, F64
+    if csf_id in ("msr", "pe"):
+        p = old_softmax(bundle.logits, cfg)
+        scores = np.max(p, axis=-1) if csf_id == "msr" else -_entropy(p)
+    elif csf_id == "mls":
+        scores = np.max(bundle.logits, axis=-1)
+    elif csf_id == "mcd-mls":
+        scores = np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1)
+    else:
+        p = old_softmax(bundle.mcd_logits, cfg)
+        mean_p = np.mean(p, axis=1)
+        if csf_id == "mcd-msr":
+            scores = np.max(mean_p, axis=-1)
+        elif csf_id == "mcd-pe":
+            scores = -_entropy(mean_p)
+        elif csf_id == "mcd-ee":
+            scores = -np.mean(_entropy(p), axis=-1)
+        else:
+            scores = -(_entropy(mean_p) - np.mean(_entropy(p), axis=-1))
+    return np.asarray(scores, dtype=np.float64), cfg.precision
+
+
+def scored_bundle(seed=41, n=90, c=4, t=3, d=5):
+    """Inlier, covariate and new-class rows with wide logits (so f16 collapses some), an MC stack and features."""
+    rng = np.random.default_rng(seed)
+    tags = np.array(["IID"] * 50 + ["COVARIATE"] * 25 + ["NEWCLASS_SEMANTIC"] * (n - 75))
+    labels = np.where(tags == "NEWCLASS_SEMANTIC", c, np.arange(n) % c)
+    logits = rng.normal(0.0, 6.0, (n, c))
+    mcd = logits[:, None, :] + rng.normal(0.0, 2.0, (n, t, c))
+    features = rng.normal(0.0, 1.0, (c + 1, d))[labels] + rng.normal(0.0, 1.0, (n, d))
+    return simple_bundle(logits, labels, tags=tags, mcd_logits=mcd, features=features,
+                         externals={"demo": rng.random(n)})
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("temperature", [1.0, 2.5])
+def test_softmax_and_quantize_match_the_per_precision_branches(precision, temperature):
+    b = scored_bundle()
+    cfg = SoftmaxConfig(precision=precision, temperature=temperature)
+    for x in (b.logits, b.mcd_logits):
+        assert softmax(x, cfg).tobytes() == old_softmax(x, cfg).tobytes()
+        assert quantize(x, precision).tobytes() == old_quantize(x, precision).tobytes()
+
+
+ORDERS = [
+    ["mcd-mi"],
+    ["mcd-ee"],
+    ["mcd-ee", "mcd-mi"],
+    ["mcd-mi", "mcd-msr", "pe"],
+    ["pe", "msr"],
+    ["maha", "ext:demo", "mls", "mcd-mls"],
+    list(CSF_IDS) + ["ext:demo"],
+    list(reversed(CSF_IDS)),
+]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: "+".join(o))
+def test_compute_csfs_is_bitwise_the_old_per_csf_path(precision, order):
+    b = scored_bundle()
+    cfg = SoftmaxConfig(precision=precision, temperature=1.5)
+    got = compute_csfs(b, order, cfg)
+    assert list(got) == order
+    for csf in order:
+        want, mode = old_compute_csf(b, csf, cfg)
+        assert got[csf].csf_id == csf and got[csf].precision_mode == mode
+        assert got[csf].scores.dtype == np.float64
+        assert got[csf].scores.tobytes() == want.tobytes(), csf
+        assert compute_csf(b, csf, cfg).scores.tobytes() == want.tobytes(), csf
+
