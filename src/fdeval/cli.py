@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .core import ALL_TAGS, STANDARD, failure_labels, load_bundle
 from .errors import FdevalError, InvalidParameter
-from .metrics import aurc, auroc_f, rc_curve
+from .metrics import aurc, rc_curve
 from .oracle import aurc_oracle, auroc_oracle
 from .precision_audit import audit, synthesize_highconf_bundle
 from .protocol import (
@@ -87,6 +87,14 @@ def _valid_csf(name: str) -> str:
     raise ConfigError(f"unknown CSF {name!r}; expected one of {CSF_IDS} or '{EXTERNAL_PREFIX}<name>'")
 
 
+def _valid_csfs(names) -> list[str]:
+    csfs = [_valid_csf(str(c)) for c in names]
+    for i, csf in enumerate(csfs):
+        if csf in csfs[:i]:
+            raise ConfigError(f"CSF {csf!r} is listed twice")
+    return csfs
+
+
 def _no_control_chars(name: str, what: str) -> str:
     if CONTROL_CHARS.search(name):
         raise ConfigError(f"{what} name {name!r} holds a control character")
@@ -133,10 +141,9 @@ def build_run_config(args) -> RunConfig:
     except InvalidParameter as exc:
         raise ConfigError(str(exc))
 
-    csfs = [_valid_csf(str(c)) for c in data.get("csfs", [MSR, PE])]
-    for i, csf in enumerate(csfs):
-        if csf in csfs[:i]:
-            raise ConfigError(f"CSF {csf!r} is listed twice")
+    csfs = _valid_csfs(data.get("csfs", [MSR, PE]))
+    flag = getattr(args, "csf", None)    # one name, or verify's repeatable list
+    _valid_csfs([flag] if isinstance(flag, str) else flag or [])
 
     studies = []
     for entry in data.get("studies", []):
@@ -368,17 +375,16 @@ def cmd_verify(rc: RunConfig, args) -> int:
     bundle = _require_bundle(rc)
     fl = failure_labels(bundle, STANDARD)
     csfs = args.csf or [MSR, PE, MLS]
-    aurc_dev = 0.0
-    auroc_dev = 0.0
-    for vec in compute_csfs(bundle, csfs, rc.softmax).values():
-        fast = aurc(rc_curve(vec, fl))
+    # the values evaluate writes for an all-rows standard study, checked against the oracles
+    scores = compute_csfs(bundle, csfs, rc.softmax)
+    spec = StudySpec(name="verify", kind=STANDARD, metrics=("aurc", "auroc-f"))
+    values = run_study(bundle, spec, scores, rc.softmax).values
+    aurc_dev = auroc_dev = 0.0
+    for csf, vec in scores.items():
         ref = aurc_oracle(vec.scores, fl.residuals, fl.eval_mask)
-        aurc_dev = max(aurc_dev, abs(fast - ref))
-        conf = vec.scores[fl.eval_mask]
-        res = fl.residuals[fl.eval_mask]
-        fast_roc = auroc_f(vec, fl)
-        ref_roc = auroc_oracle(conf, res == 0)
-        auroc_dev = max(auroc_dev, abs(fast_roc - ref_roc))
+        aurc_dev = max(aurc_dev, abs(values[(spec.name, csf, "aurc")] - ref))
+        ref_roc = auroc_oracle(vec.scores[fl.eval_mask], fl.residuals[fl.eval_mask] == 0)
+        auroc_dev = max(auroc_dev, abs(values[(spec.name, csf, "auroc-f")] - ref_roc))
     print(f"csfs={','.join(csfs)}")
     print(f"aurc_max_dev={_sci(aurc_dev)}")
     print(f"auroc_max_dev={_sci(auroc_dev)}")

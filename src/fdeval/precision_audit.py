@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PredictionBundle, ShiftTag, validate_bundle
-from .errors import InvalidParameter
-from .metrics import aurc, auroc_f, rc_curve
+from .errors import EmptyEvaluationSet, InvalidParameter
+# rc_curve and auroc_f are not called here (audit reads both off one _Sweep);
+# fdbench/tracing.py binds fdeval.precision_audit.rc_curve and .auroc_f by name
+from .metrics import _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
 from .scores import F64, PRECISIONS, SoftmaxConfig, quantize, softmax
 
 # A runner-up class is kept within this many nats of the top logit so that an
@@ -35,12 +37,15 @@ class PrecisionAuditReport:
     accuracy: dict[str, float] = field(default_factory=dict)
 
 
+def _rounds_to_one(msr: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Rows whose max softmax is exactly 1.0 despite carrying >= 2 distinct logits."""
+    return (msr == 1.0) & (np.max(logits, axis=-1) != np.min(logits, axis=-1))
+
+
 def round_to_one_count(logits: np.ndarray, precision: str, temperature: float = 1.0) -> int:
     """Rows whose max softmax is exactly 1.0 despite carrying >= 2 distinct logits."""
     p = softmax(logits, SoftmaxConfig(precision=precision, temperature=temperature))
-    top = np.max(p, axis=-1)
-    informative = np.max(logits, axis=-1) != np.min(logits, axis=-1)
-    return int(np.sum((top == 1.0) & informative))
+    return int(np.sum(_rounds_to_one(np.max(p, axis=-1), logits)))
 
 
 def audit(
@@ -62,18 +67,18 @@ def audit(
     res = np.asarray(residuals).astype(np.int64).reshape(-1)
     if res.shape[0] != bundle.n_samples:
         raise InvalidParameter(f"residuals {res.shape} do not match bundle ({bundle.n_samples},)")
+    if res.shape[0] == 0:
+        raise EmptyEvaluationSet("no samples to audit")
     report = PrecisionAuditReport(precisions=list(precisions))
     for p in precisions:
         logits = quantize(bundle.logits, p) if quantize_storage else bundle.logits
         cfg = SoftmaxConfig(precision=p, temperature=temperature)
         msr = np.max(softmax(logits, cfg), axis=-1)
-        informative = np.max(logits, axis=-1) != np.min(logits, axis=-1)
-        report.round_to_one_rate[p] = float(np.mean((msr == 1.0) & informative))
-        curve = rc_curve(msr, res)
-        report.aurc[p] = aurc(curve)
-        report.auroc_f[p] = auroc_f(msr, res)
-        preds = np.argmax(logits, axis=1)
-        report.accuracy[p] = float(np.mean(preds == bundle.labels))
+        report.round_to_one_rate[p] = float(np.mean(_rounds_to_one(msr, logits)))
+        sweep = _Sweep(msr)
+        report.aurc[p] = aurc(sweep.curve(res))
+        report.auroc_f[p] = sweep.auroc(res == 0)
+        report.accuracy[p] = float(np.mean(np.argmax(logits, axis=1) == bundle.labels))
     return report
 
 

@@ -122,8 +122,20 @@ def run_study(
         "n_evaluated": int(flabels.eval_mask.sum()),
     }
 
-    probs = None
+    # accuracy, NLL and Brier rate the classifier, not a CSF: one value per study
+    classifier = {}
     inlier = sub.labels < sub.n_classes
+    try:
+        if "accuracy" in spec.metrics:
+            classifier["accuracy"] = M.accuracy(flabels)
+        if not {"nll", "brier"}.isdisjoint(spec.metrics):
+            probs, truth = softmax(sub.logits, cfg)[inlier], sub.labels[inlier]
+            for metric, fn in (("nll", M.nll), ("brier", M.brier)):
+                if metric in spec.metrics:
+                    classifier[metric] = fn(probs, truth)
+    except FdevalError as exc:
+        raise type(exc)(f"[study {spec.name}] {exc}") from exc
+
     needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
     for csf, vec in scores.items():
         try:
@@ -135,7 +147,9 @@ def run_study(
             for metric in spec.metrics:
                 if metric in ("aurc", "e-aurc") and curve is None:
                     curve = sweep.curve(res)
-                if metric == "aurc":
+                if metric in classifier:
+                    value = classifier[metric]
+                elif metric == "aurc":
                     value = M.aurc(curve)
                 elif metric == "e-aurc":
                     value = M.e_aurc(curve, flabels)
@@ -147,13 +161,6 @@ def run_study(
                     value = sweep.ap(res == 1, descending=False)
                 elif metric == "auroc-out":
                     value = sweep.auroc(inlier[flabels.eval_mask])
-                elif metric == "accuracy":
-                    value = M.accuracy(flabels)
-                elif metric in ("nll", "brier"):
-                    if probs is None:
-                        probs = softmax(sub.logits, cfg)
-                    fn = M.nll if metric == "nll" else M.brier
-                    value = fn(probs[inlier], sub.labels[inlier])
                 elif metric == "ece":
                     value = _ece_of(conf, flabels, ece_bins)
                 else:  # unreachable, StudySpec validates names

@@ -9,12 +9,12 @@ reduced-precision storage/compute can be reproduced exactly:
 
     f64  native double
     f32  native single (inputs cast, every op in float32)
-    f16  emulated: inputs and every elementary result rounded to half
-         precision (round-to-nearest-even) while carried in f64, with a fixed
-         sequential summation order per row
+    f16  native half: inputs and every elementary result rounded to half
+         precision (round-to-nearest-even), with a fixed left-to-right
+         summation order per row
 
-The emulation keeps results platform-independent; native half floats are not
-uniformly available.
+numpy computes half +, - and / in float32 and rounds once, which gives the
+correctly rounded half (24 >= 2 * 11 + 2); half exp is not, so it runs in f64.
 """
 
 from __future__ import annotations
@@ -73,28 +73,11 @@ class ConfidenceVector:
     precision_mode: str = F64
 
 
-def _round_f16(x: np.ndarray) -> np.ndarray:
-    # round-to-nearest-even via the IEEE half type, kept on f64 carriers
-    return np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
-
-
 def quantize(arr: np.ndarray, precision: str) -> np.ndarray:
     """Round array entries to the storage grid of the given precision."""
     if precision not in _DTYPES:
         raise InvalidParameter(f"unknown precision {precision!r}")
     return np.asarray(arr, dtype=np.float64).astype(_DTYPES[precision], copy=False).astype(np.float64, copy=False)
-
-
-def _softmax_f16(x: np.ndarray, temperature: float) -> np.ndarray:
-    x = _round_f16(x)
-    x = _round_f16(x / _round_f16(temperature))
-    m = np.max(x, axis=-1, keepdims=True)          # selection, exact
-    d = _round_f16(x - m)
-    e = _round_f16(np.exp(d))
-    s = e[..., 0]
-    for j in range(1, e.shape[-1]):                # fixed left-to-right order
-        s = _round_f16(s + e[..., j])
-    return _round_f16(e / s[..., None])
 
 
 def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
@@ -103,13 +86,17 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     Returns f64 arrays whose values lie on the configured precision grid.
     """
     cfg = cfg or SoftmaxConfig()
-    x = np.asarray(logits, dtype=np.float64)
-    if cfg.precision == F16:
-        return _softmax_f16(x, cfg.temperature)
     dtype = _DTYPES[cfg.precision]
-    x = x.astype(dtype, copy=False) / dtype(cfg.temperature)
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return (e / np.sum(e, axis=-1, keepdims=True)).astype(np.float64, copy=False)
+    x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
+    if dtype is np.float16:
+        # half exp is not correctly rounded, so it runs in f64; accumulate rounds
+        # each partial sum to half, left to right, where np.sum would carry f32
+        e = np.exp((x - np.max(x, axis=-1, keepdims=True)).astype(np.float64)).astype(np.float16)
+        total = np.add.accumulate(e, axis=-1)[..., -1:]
+    else:
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        total = np.sum(e, axis=-1, keepdims=True)
+    return (e / total).astype(np.float64, copy=False)
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:

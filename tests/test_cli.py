@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import fdeval.cli
 import fdeval.protocol
 import fdeval.scores
 from conftest import REPO, load_fdbench_module, simple_bundle
@@ -120,12 +121,25 @@ def test_calibrate_command(toy_bundle_dir, tmp_path):
     assert 0.0 <= payload["ece"] <= 1.0
 
 
-def test_verify_reports_zero_deviation(toy_bundle_dir, tmp_path, capsys):
-    assert run(["verify", "--bundle", toy_bundle_dir]) == 0
+@pytest.mark.parametrize("precision", ["f16", "f32", "f64"])
+def test_verify_reports_zero_deviation(precision, toy_bundle_dir, tmp_path, capsys):
+    assert run(["verify", "--bundle", toy_bundle_dir, "--precision", precision]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "csfs=msr,pe,mls"
     assert lines[1] == "aurc_max_dev=0.0e0"
     assert lines[2] == "auroc_max_dev=0.0e0"
+
+
+def test_verify_sorts_once_per_csf(toy_bundle_dir, monkeypatch, capsys):
+    # verify reads both metrics off the sweep run_study makes, as evaluate does
+    sorts, studies = [], []
+    real_argsort, real_run_study = np.argsort, fdeval.cli.run_study
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or real_argsort(*args, **kwargs))
+    monkeypatch.setattr(fdeval.cli, "run_study", lambda *args, **kwargs: studies.append(1) or real_run_study(*args, **kwargs))
+    assert run(["verify", "--bundle", toy_bundle_dir, "--csf", "msr", "--csf", "pe", "--csf", "mls"]) == 0
+    assert len(sorts) == 3
+    assert len(studies) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["aurc_max_dev=0.0e0", "auroc_max_dev=0.0e0"]
 
 
 def test_precision_audit_synthetic_honors_env_seed(tmp_path, monkeypatch):
@@ -250,6 +264,14 @@ BROKEN_INPUTS = {
     # a lone \r would split the study's report.csv rows in two
     "study-name-control-char": ("config", {"studies": [{"name": "a\rb"}]}, 2),
     "csf-name-control-char": ("config", {"csfs": ["msr", "ext:a\rb"]}, 2),
+    # --csf is held to the rules of the config's csfs
+    "config-csf-unknown": ("config", {"csfs": ["bogus"]}, 2),
+    "score-csf-unknown": ("argv", ["score", "--csf", "bogus"], 2),
+    "rc-curve-csf-unknown": ("argv", ["rc-curve", "--csf", "bogus"], 2),
+    "calibrate-csf-unknown": ("argv", ["calibrate", "--csf", "bogus"], 2),
+    "verify-csf-unknown": ("argv", ["verify", "--csf", "bogus"], 2),
+    "sgr-csf-empty-external": ("argv", ["sgr", "--csf", "ext:"], 2),
+    "verify-csf-listed-twice": ("argv", ["verify", "--csf", "msr", "--csf", "msr"], 2),
 }
 
 
@@ -273,7 +295,7 @@ def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path
         (tmp_path / name).write_bytes(raw if isinstance(raw, bytes) else raw.encode())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(["evaluate", "--config", config]) == code
+        assert run((content if where == "argv" else ["evaluate"]) + ["--config", config]) == code
     assert [str(w.message) for w in caught] == []  # a warning would print a second stderr line
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

@@ -3,13 +3,20 @@ import pytest
 
 from conftest import simple_bundle
 from fdeval import (
+    PredictionBundle,
+    SoftmaxConfig,
     audit,
+    aurc,
+    auroc_f,
     failure_labels,
+    quantize,
+    rc_curve,
     round_to_one_count,
+    softmax,
     synthesize_highconf_bundle,
 )
-from fdeval.errors import InvalidParameter
-from fdeval.scores import F16, F32, F64
+from fdeval.errors import EmptyEvaluationSet, InvalidParameter
+from fdeval.scores import F16, F32, F64, PRECISIONS
 
 
 def test_round_to_one_mechanism_per_precision():
@@ -121,3 +128,24 @@ def test_audit_input_guards():
         audit(b, res[:10])
     with pytest.raises(InvalidParameter):
         audit(b, res, precisions=("f8",))
+    empty = PredictionBundle(logits=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64),
+                             shift_tags=np.zeros(0, dtype="U24"))
+    with pytest.raises(EmptyEvaluationSet):
+        audit(empty, np.zeros(0))
+
+
+def test_audit_sorts_once_per_precision(monkeypatch):
+    b, res = synthesize_highconf_bundle(n=300, c=5, failure_rate=0.3, gap_low=1, gap_high=40, seed=3)
+    sorts = []
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or real_argsort(*args, **kwargs))
+    report = audit(b, res)
+    monkeypatch.undo()
+    assert len(sorts) == len(PRECISIONS)
+    # the one sweep gives what the public metrics give
+    for p in PRECISIONS:
+        logits = quantize(b.logits, p)
+        msr = np.max(softmax(logits, SoftmaxConfig(precision=p)), axis=-1)
+        assert report.aurc[p] == aurc(rc_curve(msr, res))
+        assert report.auroc_f[p] == auroc_f(msr, res)
+        assert report.round_to_one_rate[p] == round_to_one_count(logits, p) / b.n_samples

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fdeval.metrics
 from conftest import load_fdbench_module, newclass_bundle, simple_bundle
 from fdeval import (
     MetricReport,
@@ -160,6 +161,28 @@ def test_study_errors_are_annotated_with_study_and_csf():
     one_row_per_class = simple_bundle(b.logits[:4], [0, 1, 2, 3], features=np.eye(4))
     with pytest.raises(ClassUnderpopulated, match=r"^maha: class 0 has 1 rows"):
         compute_csfs(one_row_per_class, ["maha"])
+    # a classifier metric belongs to the study: an all-new-class study has no inlier row for nll
+    b = newclass_bundle()
+    spec = StudySpec(name="new", shift_filter=("NEWCLASS_SEMANTIC",), metrics=("aurc", "nll"))
+    with pytest.raises(EmptyEvaluationSet, match=r"^\[study new\] no samples"):
+        run_study(b, spec, compute_csfs(b, ["msr"]))
+
+
+def test_classifier_metrics_run_once_per_study(monkeypatch):
+    # accuracy, nll and brier rate the classifier, not a CSF: three CSFs share one value of each
+    b = standard_bundle()
+    calls = []
+    for name in ("nll", "brier"):
+        real = getattr(fdeval.metrics, name)
+        monkeypatch.setattr(fdeval.metrics, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    csfs = ["msr", "pe", "ext:demo"]
+    spec = StudySpec(name="s", metrics=("aurc", "accuracy", "nll", "brier"))
+    report = run_study(b, spec, compute_csfs(b, csfs))
+    assert sorted(calls) == ["brier", "nll"]
+    p = softmax(b.logits)
+    assert [report.values[("s", csf, "nll")] for csf in csfs] == [nll(p, b.labels)] * 3
+    assert [report.values[("s", csf, "brier")] for csf in csfs] == [brier(p, b.labels)] * 3
+    assert [report.values[("s", csf, "accuracy")] for csf in csfs] == [accuracy(failure_labels(b))] * 3
 
 
 def test_study_spec_validation():

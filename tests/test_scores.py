@@ -26,7 +26,7 @@ from fdeval.errors import (
     SingularCovariance,
     UnknownExternal,
 )
-from fdeval.scores import CSF_IDS, F16, F32, F64, PRECISIONS, _entropy, _round_f16, _softmax_f16
+from fdeval.scores import CSF_IDS, F16, F32, F64, PRECISIONS, _entropy
 
 ROW_SUM_TOL = {F64: 1e-12, F32: 1e-5, F16: 1e-2}
 
@@ -389,8 +389,27 @@ def test_confidence_vector_carries_mode():
 
 
 # The scoring code as it was before compute_csfs, kept as the exact reference:
-# softmax with separate f32 and f64 branches, quantize with one branch per
-# precision, and one compute_csf body that softmaxes afresh for every CSF.
+# softmax with separate f32 and f64 branches and an f16 emulation that carries
+# half values in f64 and sums the classes in a Python loop, quantize with one
+# branch per precision, and one compute_csf body that softmaxes afresh for
+# every CSF.
+def _round_f16(x):
+    # round-to-nearest-even via the IEEE half type, kept on f64 carriers
+    return np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
+
+
+def _softmax_f16(x, temperature):
+    x = _round_f16(x)
+    x = _round_f16(x / _round_f16(temperature))
+    m = np.max(x, axis=-1, keepdims=True)          # selection, exact
+    d = _round_f16(x - m)
+    e = _round_f16(np.exp(d))
+    s = e[..., 0]
+    for j in range(1, e.shape[-1]):                # fixed left-to-right order
+        s = _round_f16(s + e[..., j])
+    return _round_f16(e / s[..., None])
+
+
 def old_softmax(logits, cfg=None):
     cfg = cfg or SoftmaxConfig()
     x = np.asarray(logits, dtype=np.float64)
@@ -457,14 +476,35 @@ def scored_bundle(seed=41, n=90, c=4, t=3, d=5):
                          externals={"demo": rng.random(n)})
 
 
-@pytest.mark.parametrize("precision", PRECISIONS)
-@pytest.mark.parametrize("temperature", [1.0, 2.5])
-def test_softmax_and_quantize_match_the_per_precision_branches(precision, temperature):
+def adversarial_logits(seed=43):
+    """Inputs that stress the f16 path: wide scales, ties, subnormal halves, stacks, many classes, overflow."""
+    rng = np.random.default_rng(seed)
     b = scored_bundle()
+    arrays = [b.logits, b.mcd_logits]
+    arrays += [rng.normal(0.0, 1.0, (40, 7)) * scale for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e5)]
+    arrays.append(rng.integers(-3, 4, (40, 7)).astype(np.float64))        # integer ties
+    arrays.append(np.vstack([np.zeros((3, 5)), np.full((3, 5), 2.5), np.full((3, 5), -7e4)]))  # all-equal rows
+    arrays.append(rng.uniform(-12.0, 0.0, (40, 9)))                        # e^-12 is a subnormal half
+    arrays.append(rng.normal(0.0, 6.0, (10, 4, 6)))                        # 3-D stack
+    arrays += [rng.normal(0.0, 6.0, (6, c)) for c in (2, 400, 1000)]
+    arrays.append(np.array([[1e308, 0.0, -1e308], [1e39, 1.0, 2.0], [7e4, 7e4, 1.0]]))  # inf after the cast
+    return arrays
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("temperature", [1e-4, 1e-2, 0.3, 1.0, 2.5, 1e2])
+def test_softmax_and_quantize_match_the_per_precision_branches(precision, temperature):
     cfg = SoftmaxConfig(precision=precision, temperature=temperature)
-    for x in (b.logits, b.mcd_logits):
-        assert softmax(x, cfg).tobytes() == old_softmax(x, cfg).tobytes()
-        assert quantize(x, precision).tobytes() == old_quantize(x, precision).tobytes()
+    overflowed = False
+    with np.errstate(all="ignore"):
+        for x in adversarial_logits():
+            got = softmax(x, cfg)
+            assert got.shape == x.shape and got.dtype == np.float64
+            assert got.tobytes() == old_softmax(x, cfg).tobytes(), x.shape
+            assert quantize(x, precision).tobytes() == old_quantize(x, precision).tobytes()
+            overflowed |= bool(np.isnan(got).any())
+    # the inf and NaN paths ran too, wherever a finite logit can overflow
+    assert overflowed or (precision == F64 and temperature >= 1.0)
 
 
 ORDERS = [
