@@ -141,7 +141,8 @@ def build_run_config(args) -> RunConfig:
     except InvalidParameter as exc:
         raise ConfigError(str(exc))
 
-    csfs = _valid_csfs(data.get("csfs", [MSR, PE]))
+    default_csfs = [MSR, PE, MLS] if getattr(args, "command", None) == "verify" else [MSR, PE]
+    csfs = _valid_csfs(data.get("csfs", default_csfs))
     flag = getattr(args, "csf", None)    # one name, or verify's repeatable list
     _valid_csfs([flag] if isinstance(flag, str) else flag or [])
 
@@ -374,7 +375,7 @@ def cmd_precision_audit(rc: RunConfig, args) -> int:
 def cmd_verify(rc: RunConfig, args) -> int:
     bundle = _require_bundle(rc)
     fl = failure_labels(bundle, STANDARD)
-    csfs = args.csf or [MSR, PE, MLS]
+    csfs = args.csf or rc.csfs
     # the values evaluate writes for an all-rows standard study, checked against the oracles
     scores = compute_csfs(bundle, csfs, rc.softmax)
     spec = StudySpec(name="verify", kind=STANDARD, metrics=("aurc", "auroc-f"))
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_precision_audit)
 
     p = sub.add_parser("verify", parents=[common], help="cross-check fast metrics against the oracles")
-    p.add_argument("--csf", action="append", help="CSF to verify (repeatable; default msr, pe, mls)")
+    p.add_argument("--csf", action="append", help="CSF to verify (repeatable; default: the config's csfs, else msr, pe, mls)")
     p.set_defaults(func=cmd_verify)
 
     return parser

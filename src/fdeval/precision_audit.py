@@ -19,7 +19,7 @@ from .errors import EmptyEvaluationSet, InvalidParameter
 # rc_curve and auroc_f are not called here (audit reads both off one _Sweep);
 # fdbench/tracing.py binds fdeval.precision_audit.rc_curve and .auroc_f by name
 from .metrics import _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
-from .scores import F64, PRECISIONS, SoftmaxConfig, quantize, softmax
+from .scores import F64, PRECISIONS, SoftmaxConfig, _nan_free, quantize, softmax
 
 # A runner-up class is kept within this many nats of the top logit so that an
 # f64 softmax always sees tail mass above the half-ulp at 1.0 (e^-35 ~ 6.3e-16
@@ -73,7 +73,8 @@ def audit(
     for p in precisions:
         logits = quantize(bundle.logits, p) if quantize_storage else bundle.logits
         cfg = SoftmaxConfig(precision=p, temperature=temperature)
-        msr = np.max(softmax(logits, cfg), axis=-1)
+        # a logit beyond f16's range stores as inf, and its row's msr is NaN
+        msr = _nan_free(np.max(softmax(logits, cfg), axis=-1), f"{p} msr")
         report.round_to_one_rate[p] = float(np.mean(_rounds_to_one(msr, logits)))
         sweep = _Sweep(msr)
         report.aurc[p] = aurc(sweep.curve(res))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import DegenerateLabels, InvalidParameter, NoFeasibleThreshold, PerfectSeparation
 from .metrics import _conf_array, _residuals_and_mask
@@ -33,6 +32,8 @@ def _clopper_pearson_upper(k: int, m: int, delta: float) -> float:
     """Smallest p with P[Binom(m, p) <= k] <= delta: the one-sided Clopper-Pearson upper limit."""
     if k >= m:
         return 1.0
+    from scipy.special import betaincinv  # imported here: only sgr needs scipy.special
+
     return float(betaincinv(k + 1, m - k, 1.0 - delta))
 
 

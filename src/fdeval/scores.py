@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .core import PredictionBundle, _check_finite
 from .errors import (
@@ -77,7 +76,8 @@ def quantize(arr: np.ndarray, precision: str) -> np.ndarray:
     """Round array entries to the storage grid of the given precision."""
     if precision not in _DTYPES:
         raise InvalidParameter(f"unknown precision {precision!r}")
-    return np.asarray(arr, dtype=np.float64).astype(_DTYPES[precision], copy=False).astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):  # a value beyond the precision's range rounds to inf
+        return np.asarray(arr, dtype=np.float64).astype(_DTYPES[precision], copy=False).astype(np.float64, copy=False)
 
 
 def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
@@ -87,16 +87,27 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or SoftmaxConfig()
     dtype = _DTYPES[cfg.precision]
-    x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
-    if dtype is np.float16:
-        # half exp is not correctly rounded, so it runs in f64; accumulate rounds
-        # each partial sum to half, left to right, where np.sum would carry f32
-        e = np.exp((x - np.max(x, axis=-1, keepdims=True)).astype(np.float64)).astype(np.float16)
-        total = np.add.accumulate(e, axis=-1)[..., -1:]
-    else:
-        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-        total = np.sum(e, axis=-1, keepdims=True)
-    return (e / total).astype(np.float64, copy=False)
+    # a logit beyond the precision's range casts to inf, and inf - inf gives a NaN
+    # probability; callers report its row, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
+        if dtype is np.float16:
+            # half exp is not correctly rounded, so it runs in f64; accumulate rounds
+            # each partial sum to half, left to right, where np.sum would carry f32
+            e = np.exp((x - np.max(x, axis=-1, keepdims=True)).astype(np.float64)).astype(np.float16)
+            total = np.add.accumulate(e, axis=-1)[..., -1:]
+        else:
+            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            total = np.sum(e, axis=-1, keepdims=True)
+        return (e / total).astype(np.float64, copy=False)
+
+
+def _nan_free(scores: np.ndarray, what: str) -> np.ndarray:
+    """scores, unless one is NaN: a NaN has no rank, so the error names its first row."""
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise NonFiniteValue(f"{what}: NaN score at row {int(nan[0])}")
+    return scores
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -131,6 +142,8 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     cov = centered.T @ centered / feats.shape[0]
     lam = 1e-6 * np.trace(cov) / feats.shape[1] if ridge is None else float(ridge)
     cov = cov + lam * np.eye(feats.shape[1])
+    from scipy.linalg import cholesky  # imported here: scipy.linalg would cost every command's start-up
+
     try:
         chol = cholesky(cov, lower=True)
     except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
@@ -180,6 +193,8 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
     if feats.ndim != 2 or feats.shape[1] != model.means.shape[1]:
         raise InvalidParameter(f"features {feats.shape} do not match model dim {model.means.shape[1]}")
     _check_finite(feats, "features")
+    from scipy.linalg import solve_triangular  # imported here, as in fit_mahalanobis
+
     n, dim = feats.shape
     chol = model.chol_lower
     # centering keeps a common feature offset out of |z|^2 and so out of the
@@ -261,10 +276,7 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         elif csf_id.startswith("mcd-") and bundle.mcd_logits is None:
             raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
         else:
-            scores = formulas[csf_id]()
-            if np.isnan(scores).any():
-                row = int(np.argwhere(np.isnan(scores))[0][0])
-                raise NonFiniteValue(f"{csf_id}: NaN score at row {row}")
+            scores = _nan_free(formulas[csf_id](), csf_id)
             out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=cfg.precision)
     return out
 

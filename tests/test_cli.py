@@ -219,10 +219,14 @@ def test_library_errors_exit_1(tmp_path):
     assert run(["evaluate", "--bundle", d]) == 1
 
 
+# the toy logits with the first one beyond the largest half, 65504
+TOY_LOGITS_F16_OVERFLOW = "70000,0,-1\n0.5,1.5,0\n1,2,0\n0.2,0.1,0\n"
+
 # the four toy labels in a .f64 file whose header says 2x2
 LABELS_F64_2X2 = b"FDSB" + struct.pack("<III", 2, 2, 0) + np.array([0.0, 1.0, 0.0, 1.0], dtype="<f8").tobytes()
 
-# where the damage goes, what is written there, and the exit code it must give
+# where the damage goes, what is written there, the exit code it must give and,
+# optionally, the command to run (default: evaluate)
 BROKEN_INPUTS = {
     "ece-bins-not-a-number": ("config", {"ece_bins": "x"}, 2),
     "ece-bins-zero": ("config", {"ece_bins": 0}, 2),
@@ -272,12 +276,19 @@ BROKEN_INPUTS = {
     "verify-csf-unknown": ("argv", ["verify", "--csf", "bogus"], 2),
     "sgr-csf-empty-external": ("argv", ["sgr", "--csf", "ext:"], 2),
     "verify-csf-listed-twice": ("argv", ["verify", "--csf", "msr", "--csf", "msr"], 2),
+    # f16 stores these gaps as inf, and inf - inf leaves a NaN msr that must not be ranked
+    "precision-audit-nan-msr": ("argv", ["precision-audit", "--synthetic", "--n", "200",
+                                         "--gap-low", "60000", "--gap-high", "70000"], 1),
+    # the cast to half overflows, and numpy must not warn before the NaN row is reported
+    "score-f16-logit-overflow": ("file", ("bundle/logits.csv", TOY_LOGITS_F16_OVERFLOW), 1,
+                                 ["score", "--csf", "msr", "--precision", "f16"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
 def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path, capsys):
-    where, content, code = BROKEN_INPUTS[case]
+    where, content, code, *command = BROKEN_INPUTS[case]
+    command = content if where == "argv" else command[0] if command else ["evaluate"]
     bundle_dir = write_bundle(load_bundle(toy_bundle_dir), tmp_path / "bundle", binary=True)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"bundle": str(bundle_dir), "out": str(tmp_path / "o"),
@@ -295,7 +306,7 @@ def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path
         (tmp_path / name).write_bytes(raw if isinstance(raw, bytes) else raw.encode())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run((content if where == "argv" else ["evaluate"]) + ["--config", config]) == code
+        assert run(command + ["--config", config]) == code
     assert [str(w.message) for w in caught] == []  # a warning would print a second stderr line
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -308,6 +319,50 @@ def test_cli_import_leaves_scipy_stats_out():
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0
+
+
+def scipy_modules_after(argv=None) -> list[str]:
+    """The scipy modules a fresh process holds after importing fdeval.cli and, if given, running argv."""
+    code = (
+        "import json, sys, fdeval.cli\n"
+        "code = fdeval.cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    extra = [json.dumps([str(a) for a in argv])] if argv else []
+    proc = subprocess.run([sys.executable, "-c", code, *extra], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case, loads", [("import", None), ("evaluate-msr-pe-ece", None),
+                                         ("evaluate-maha", "scipy.linalg"), ("sgr", "scipy.special")])
+def test_commands_load_only_the_scipy_they_call(case, loads, toy_bundle_dir, tmp_path):
+    # scipy.linalg and scipy.special each cost about a third of a second of start-up
+    argv = None
+    if case == "sgr":
+        argv = ["sgr", "--config", write_workload(tmp_path, "calibration-100k"), "--rstar", "0.5", "--delta", "0.2"]
+    elif case.startswith("evaluate"):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"csfs": ["maha"]} if case == "evaluate-maha" else
+                                     {"csfs": ["msr", "pe"], "studies": [{"name": "s", "metrics": ["aurc", "ece"]}]}))
+        argv = ["evaluate", "--bundle", toy_bundle_dir, "--config", config, "--out", tmp_path / "o"]
+    loaded = scipy_modules_after(argv)
+    if loads is None:
+        assert loaded == []
+    else:
+        assert {"scipy.linalg", "scipy.special"}.intersection(loaded) == {loads}
+
+
+def test_verify_takes_csfs_from_flag_then_config_then_default(toy_bundle_dir, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"csfs": ["msr", "maha"]}))
+    for extra, want in [([], "csfs=msr,pe,mls"), (["--config", config], "csfs=msr,maha"),
+                        (["--config", config, "--csf", "pe"], "csfs=pe")]:
+        assert run(["verify", "--bundle", toy_bundle_dir, *extra]) == 0
+        assert capsys.readouterr().out.splitlines() == [want, "aurc_max_dev=0.0e0", "auroc_max_dev=0.0e0"]
 
 
 def test_bad_flag_values_exit_2(toy_bundle_dir):

@@ -1,11 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-import fdeval.scores
 from conftest import simple_bundle
 from fdeval import (
     ConfidenceVector,
@@ -316,13 +316,13 @@ def maha_case(name, rng):
 def test_mahalanobis_matches_per_class_loop(name, monkeypatch):
     model, rows = maha_case(name, np.random.default_rng(17))
     solved = []
-    real_solve = fdeval.scores.solve_triangular
+    real_solve = scipy.linalg.solve_triangular
 
     def recording_solve(a, b, **kwargs):
         solved.append(b.shape[1])
         return real_solve(a, b, **kwargs)
 
-    monkeypatch.setattr(fdeval.scores, "solve_triangular", recording_solve)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", recording_solve)
     with np.errstate(over="ignore", invalid="ignore"):
         got = score_mahalanobis(model, rows).scores
         want = per_class_mahalanobis(model, rows)
@@ -336,13 +336,13 @@ def test_mahalanobis_matches_per_class_loop(name, monkeypatch):
 
 def test_mahalanobis_solve_count_does_not_grow_with_classes(monkeypatch):
     solves = []
-    real_solve = fdeval.scores.solve_triangular
+    real_solve = scipy.linalg.solve_triangular
 
     def counting_solve(*args, **kwargs):
         solves.append(1)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(fdeval.scores, "solve_triangular", counting_solve)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", counting_solve)
     rng = np.random.default_rng(6)
     counts = []
     for k in (2, 8, 32):
