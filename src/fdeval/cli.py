@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: score, evaluate, rc-curve, sgr, calibrate, precision-audit,
-verify. Exit codes: 0 success, 1 library error (bad data, degenerate inputs),
-2 configuration or usage error. All artifacts are byte-deterministic for
-identical inputs. FDSHIFT_SEED selects the seed for synthetic fixtures.
+verify. Exit codes: 0 success, 2 for InvalidParameter (a flag or config value
+out of range) and for usage errors, 1 for every other FdevalError and for an
+OSError (bad data, degenerate inputs, unwritable output); main is the only
+place that maps an exception to an exit code. All artifacts are
+byte-deterministic for identical inputs. FDSHIFT_SEED selects the seed for
+synthetic fixtures.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ MAX_BINS = 10**6
 CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
-class ConfigError(Exception):
-    pass
-
-
 @dataclass
 class RunConfig:
     bundle: str | None
@@ -78,44 +77,44 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}")
+        raise InvalidParameter(f"{ENV_SEED} must be an integer, got {raw!r}")
 
 
 def _valid_csf(name: str) -> str:
     if name in CSF_IDS or (name.startswith(EXTERNAL_PREFIX) and len(name) > len(EXTERNAL_PREFIX)):
         return _no_control_chars(name, "CSF")
-    raise ConfigError(f"unknown CSF {name!r}; expected one of {CSF_IDS} or '{EXTERNAL_PREFIX}<name>'")
+    raise InvalidParameter(f"unknown CSF {name!r}; expected one of {CSF_IDS} or '{EXTERNAL_PREFIX}<name>'")
 
 
 def _valid_csfs(names) -> list[str]:
     csfs = [_valid_csf(str(c)) for c in names]
     for i, csf in enumerate(csfs):
         if csf in csfs[:i]:
-            raise ConfigError(f"CSF {csf!r} is listed twice")
+            raise InvalidParameter(f"CSF {csf!r} is listed twice")
     return csfs
 
 
 def _no_control_chars(name: str, what: str) -> str:
     if CONTROL_CHARS.search(name):
-        raise ConfigError(f"{what} name {name!r} holds a control character")
+        raise InvalidParameter(f"{what} name {name!r} holds a control character")
     return name
 
 
 def _valid_bins(bins, what: str) -> int:
     if isinstance(bins, bool) or not 1 <= bins <= MAX_BINS:
-        raise ConfigError(f"{what} must be an integer in [1, {MAX_BINS}], got {bins!r}")
+        raise InvalidParameter(f"{what} must be an integer in [1, {MAX_BINS}], got {bins!r}")
     return bins
 
 
 def _check_json_object(value, types: dict, what: str) -> None:
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+        raise InvalidParameter(f"{what} must be a JSON object, got {value!r}")
     unknown = set(value) - set(types)
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        raise InvalidParameter(f"unknown {what} keys: {sorted(unknown)}")
     for key, item in value.items():
         if not isinstance(item, types[key]):
-            raise ConfigError(f"{what} key {key!r} has the wrong JSON type: {item!r}")
+            raise InvalidParameter(f"{what} key {key!r} has the wrong JSON type: {item!r}")
 
 
 def build_run_config(args) -> RunConfig:
@@ -123,11 +122,11 @@ def build_run_config(args) -> RunConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
-            raise ConfigError(f"config file {path} not found")
+            raise InvalidParameter(f"config file {path} not found")
         try:
             data = json.loads(path.read_text())
         except (OSError, ValueError) as exc:  # unreadable, invalid JSON, or bytes that are no UTF-8
-            raise ConfigError(f"config file {path}: {exc}")
+            raise InvalidParameter(f"config file {path}: {exc}")
         _check_json_object(data, CONFIG_TYPES, "config")
 
     bundle = getattr(args, "bundle", None) or data.get("bundle")
@@ -136,45 +135,45 @@ def build_run_config(args) -> RunConfig:
     temperature = getattr(args, "temperature", None)
     if temperature is None:
         temperature = data.get("temperature", 1.0)
-    try:
-        softmax_cfg = SoftmaxConfig(precision=precision, temperature=float(temperature))
-    except InvalidParameter as exc:
-        raise ConfigError(str(exc))
+    softmax_cfg = SoftmaxConfig(precision=precision, temperature=float(temperature))
 
     default_csfs = [MSR, PE, MLS] if getattr(args, "command", None) == "verify" else [MSR, PE]
     csfs = _valid_csfs(data.get("csfs", default_csfs))
+    if not csfs:
+        raise InvalidParameter("csfs must name at least one CSF")
     flag = getattr(args, "csf", None)    # one name, or verify's repeatable list
     _valid_csfs([flag] if isinstance(flag, str) else flag or [])
 
     studies = []
     for entry in data.get("studies", []):
         _check_json_object(entry, STUDY_TYPES, "study")
-        try:
-            spec = StudySpec(
-                name=_no_control_chars(entry.get("name", ""), "study"),
-                kind=entry.get("kind", STANDARD),
-                shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
-                metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
-            )
-        except InvalidParameter as exc:
-            raise ConfigError(str(exc))
+        spec = StudySpec(
+            name=_no_control_chars(entry.get("name", ""), "study"),
+            kind=entry.get("kind", STANDARD),
+            shift_filter=tuple(entry.get("shift_filter", ALL_TAGS)),
+            metrics=tuple(entry.get("metrics", DEFAULT_METRICS)),
+        )
         for s in studies:
             if s.name == spec.name:
-                raise ConfigError(f"duplicate study name {spec.name!r}")
+                raise InvalidParameter(f"duplicate study name {spec.name!r}")
             if safe_name(s.name) == safe_name(spec.name):
-                raise ConfigError(
+                raise InvalidParameter(
                     f"study names {s.name!r} and {spec.name!r} both map to file name part {safe_name(spec.name)!r}"
                 )
         studies.append(spec)
 
     emit = data.get("emit", ["json", "csv"])
-    if getattr(args, "emit", None):
+    if getattr(args, "emit", None) is not None:
         emit = [e for e in args.emit.split(",") if e]
+    if not emit:
+        raise InvalidParameter(f"emit must name at least one of {EMIT_KINDS}")
     for e in emit:
         if e not in EMIT_KINDS:
-            raise ConfigError(f"unknown emit kind {e!r}; expected subset of {EMIT_KINDS}")
+            raise InvalidParameter(f"unknown emit kind {e!r}; expected subset of {EMIT_KINDS}")
 
     ece_bins = _valid_bins(data.get("ece_bins", 15), "ece_bins")
+    if getattr(args, "bins", None) is not None:    # calibrate's --bins beats the config's ece_bins
+        ece_bins = _valid_bins(args.bins, "--bins")
     return RunConfig(
         bundle=bundle,
         out=out,
@@ -188,7 +187,7 @@ def build_run_config(args) -> RunConfig:
 
 def _require_bundle(rc: RunConfig):
     if not rc.bundle:
-        raise ConfigError("--bundle is required for this command")
+        raise InvalidParameter("--bundle is required for this command")
     return load_bundle(rc.bundle)
 
 
@@ -229,7 +228,7 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
                 name = _svg_name(spec.name, csf)
                 other = owners.setdefault(name, (spec.name, csf))
                 if other != (spec.name, csf):
-                    raise ConfigError(
+                    raise InvalidParameter(
                         f"study {spec.name!r} CSF {csf!r} and study {other[0]!r} CSF {other[1]!r} both write {name}"
                     )
     scores = compute_csfs(bundle, rc.csfs, rc.softmax)
@@ -298,13 +297,12 @@ def cmd_sgr(rc: RunConfig, args) -> int:
 
 
 def cmd_calibrate(rc: RunConfig, args) -> int:
-    bins = _valid_bins(args.bins, "--bins")
     bundle = _require_bundle(rc)
     fl = failure_labels(bundle, STANDARD)
     vec = compute_csf(bundle, args.csf, rc.softmax)
     model = platt_fit(vec, fl.residuals, prior_smoothing=args.smoothing)
     calibrated = platt_apply(model, vec)
-    value = ece(calibrated, fl.residuals, bins=bins)
+    value = ece(calibrated, fl.residuals, bins=rc.ece_bins)
     rc.out.mkdir(parents=True, exist_ok=True)
     path = write_json(
         rc.out / "calibration.json",
@@ -313,7 +311,7 @@ def cmd_calibrate(rc: RunConfig, args) -> int:
             "a": model.a,
             "b": model.b,
             "n_iter": model.n_iter,
-            "bins": bins,
+            "bins": rc.ece_bins,
             "smoothing": bool(args.smoothing),
             "ece": value,
         },
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", parents=[common], help="Platt-scale a CSF and report ECE")
     p.add_argument("--csf", default=MSR)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=int, help="ECE bin count (default: the config's ece_bins, else 15)")
     p.add_argument("--smoothing", action="store_true", help="prior-count target smoothing")
     p.set_defaults(func=cmd_calibrate)
 
@@ -456,7 +454,7 @@ def main(argv=None) -> int:
     try:
         rc = build_run_config(args)
         return args.func(rc, args)
-    except ConfigError as exc:
+    except InvalidParameter as exc:  # a flag or config value out of range: fix the input and rerun
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FdevalError, OSError) as exc:  # OSError: an output that cannot be created or written

@@ -1,8 +1,11 @@
 """Error taxonomy shared by all modules.
 
-Every failure mode raised on purpose derives from FdevalError so the CLI can
-map library errors to exit code 1 while genuine bugs still surface as
-ordinary tracebacks.
+Every failure mode raised on purpose derives from FdevalError, and the class
+alone picks the CLI's exit code. InvalidParameter means a chosen value is out
+of range (a flag such as `sgr --rstar 2` or `precision-audit --n 0`, or a
+config entry) and exits 2: fix the input and rerun. Every other FdevalError
+describes data that cannot be evaluated and exits 1. Genuine bugs still
+surface as ordinary tracebacks.
 """
 
 

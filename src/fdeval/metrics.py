@@ -201,8 +201,8 @@ def accuracy(failure) -> float:
     return float(np.mean(1 - res))
 
 
-def nll(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log likelihood of the true class, floored at 1e-300."""
+def _probs_and_labels(probabilities, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(n, c) probabilities and their n true classes, each in [0, c), for the likelihood metrics."""
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels).astype(np.int64).reshape(-1)
     if p.ndim != 2 or p.shape[0] != y.shape[0]:
@@ -211,20 +211,19 @@ def nll(probabilities: np.ndarray, labels: np.ndarray) -> float:
         raise EmptyEvaluationSet("no samples")
     if (y < 0).any() or (y >= p.shape[1]).any():
         raise LabelOutOfRange("labels must lie in [0, c) for likelihood metrics")
+    return p, y
+
+
+def nll(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log likelihood of the true class, floored at 1e-300."""
+    p, y = _probs_and_labels(probabilities, labels)
     picked = np.maximum(p[np.arange(p.shape[0]), y], 1e-300)
     return float(-np.mean(np.log(picked)))
 
 
 def brier(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared distance between the probability row and the one-hot truth."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64).reshape(-1)
-    if p.ndim != 2 or p.shape[0] != y.shape[0]:
-        raise ShapeMismatch(f"probabilities {p.shape} and labels {y.shape} do not align")
-    if p.shape[0] == 0:
-        raise EmptyEvaluationSet("no samples")
-    if (y < 0).any() or (y >= p.shape[1]).any():
-        raise LabelOutOfRange("labels must lie in [0, c) for likelihood metrics")
+    p, y = _probs_and_labels(probabilities, labels)
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), y] = 1.0
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1)))

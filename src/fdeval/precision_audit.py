@@ -104,8 +104,8 @@ def synthesize_highconf_bundle(
         raise InvalidParameter(f"c must be >= 2, got {c}")
     if not (0.0 < failure_rate < 1.0):
         raise InvalidParameter(f"failure_rate must lie in (0, 1), got {failure_rate}")
-    if gap_low < 0 or gap_high < gap_low:
-        raise InvalidParameter(f"need 0 <= gap_low <= gap_high, got [{gap_low}, {gap_high}]")
+    if not 0 <= gap_low <= gap_high < np.inf:    # a NaN fails every comparison
+        raise InvalidParameter(f"need 0 <= gap_low <= gap_high < inf, got [{gap_low}, {gap_high}]")
 
     rng = np.random.default_rng(seed)
     residuals = (rng.random(n) < failure_rate).astype(np.int8)

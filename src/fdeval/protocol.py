@@ -58,6 +58,8 @@ class StudySpec:
             raise InvalidParameter("study name must be non-empty")
         if self.kind not in STUDY_KINDS:
             raise InvalidParameter(f"study kind must be one of {STUDY_KINDS}, got {self.kind!r}")
+        if not self.shift_filter or not self.metrics:
+            raise InvalidParameter(f"study {self.name!r} must list at least one shift tag and one metric")
         for tag in self.shift_filter:
             if tag not in ALL_TAGS:
                 raise InvalidParameter(f"unknown shift tag {tag!r}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidParameter, NoFeasibleThreshold, PerfectSeparation
-from .metrics import _conf_array, _residuals_and_mask
+from .errors import DegenerateLabels, EmptyEvaluationSet, InvalidParameter, NoFeasibleThreshold, PerfectSeparation
+from .metrics import _conf_array, _masked
 
 
 @dataclass
@@ -37,25 +37,16 @@ def _clopper_pearson_upper(k: int, m: int, delta: float) -> float:
     return float(betaincinv(k + 1, m - k, 1.0 - delta))
 
 
-def _evaluated(scores, residuals) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and residuals of the evaluated rows: a FailureLabels eval_mask drops the dismissed ones."""
-    s = _conf_array(scores)
-    res, mask = _residuals_and_mask(residuals)
-    if s.shape != res.shape:
-        raise InvalidParameter(f"scores {s.shape} and residuals {res.shape} do not align")
-    return s[mask], res[mask]
-
-
 def sgr_select(scores, residuals, r_star: float, delta: float) -> SgrResult:
     """Largest-coverage threshold whose bounded selective risk stays <= r_star."""
-    conf, res = _evaluated(scores, residuals)
-    n = conf.shape[0]
-    if n < 10:
-        raise InvalidParameter(f"need at least 10 samples, got {n}")
     if not (0.0 < r_star < 1.0):
         raise InvalidParameter(f"r_star must lie in (0, 1), got {r_star}")
     if not (0.0 < delta < 1.0):
         raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
+    conf, res = _masked(scores, residuals)
+    n = conf.shape[0]
+    if n < 10:
+        raise EmptyEvaluationSet(f"need at least 10 samples, got {n}")
 
     order = np.argsort(-conf, kind="stable")
     sorted_conf = conf[order]
@@ -122,7 +113,7 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
     counts; off by default so that downstream thresholds stay comparable to
     the raw fit.
     """
-    s, res = _evaluated(scores, residuals)
+    s, res = _masked(scores, residuals)
     y = (res == 0).astype(np.float64)
     n_pos, n_neg = float(y.sum()), float((1 - y).sum())
     if n_pos == 0 or n_neg == 0:
@@ -176,11 +167,9 @@ def platt_apply(model: PlattModel, scores) -> np.ndarray:
 
 def ece(calibrated_scores, residuals, bins: int = 15) -> float:
     """Expected calibration error over equal-width, right-closed bins on [0, 1]."""
-    s, res = _evaluated(calibrated_scores, residuals)
+    s, res = _masked(calibrated_scores, residuals)
     if bins < 1:
         raise InvalidParameter(f"bins must be >= 1, got {bins}")
-    if s.size == 0:
-        raise InvalidParameter("no samples")
     if (s < 0).any() or (s > 1).any():
         raise InvalidParameter("calibrated scores must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)[1:]

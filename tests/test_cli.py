@@ -282,6 +282,27 @@ BROKEN_INPUTS = {
     # the cast to half overflows, and numpy must not warn before the NaN row is reported
     "score-f16-logit-overflow": ("file", ("bundle/logits.csv", TOY_LOGITS_F16_OVERFLOW), 1,
                                  ["score", "--csf", "msr", "--precision", "f16"]),
+    # an empty list asks for nothing, which is a config fault, not an empty result
+    "csfs-empty": ("config", {"csfs": []}, 2),
+    "metrics-empty": ("config", {"studies": [{"name": "s", "metrics": []}]}, 2),
+    "shift-filter-empty": ("config", {"studies": [{"name": "s", "shift_filter": []}]}, 2),
+    "emit-empty": ("config", {"emit": []}, 2),
+    "emit-flag-empty": ("argv", ["evaluate", "--emit", ","], 2),
+    "emit-flag-blank": ("argv", ["evaluate", "--emit", ""], 2),
+    # a filter that names a tag the bundle lacks is valid; the data leave nothing to evaluate
+    "shift-filter-matches-no-row": ("config", {"studies": [{"name": "s", "shift_filter": ["COVARIATE"]}]}, 1),
+    # InvalidParameter raised by the library for a flag value exits 2 like a config value
+    "sgr-rstar-out-of-range": ("argv", ["sgr", "--rstar", "2"], 2),
+    "sgr-delta-out-of-range": ("argv", ["sgr", "--delta", "0"], 2),
+    "precision-audit-n-zero": ("argv", ["precision-audit", "--synthetic", "--n", "0"], 2),
+    "precision-audit-c-one": ("argv", ["precision-audit", "--synthetic", "--c", "1"], 2),
+    "precision-audit-failure-rate-above-one": ("argv", ["precision-audit", "--synthetic", "--failure-rate", "1.5"], 2),
+    "precision-audit-gaps-reversed": ("argv", ["precision-audit", "--synthetic", "--gap-low", "5", "--gap-high", "1"], 2),
+    "precision-audit-gap-negative": ("argv", ["precision-audit", "--synthetic", "--gap-low", "-1"], 2),
+    "precision-audit-gap-infinite": ("argv", ["precision-audit", "--synthetic", "--gap-high", "inf"], 2),
+    "precision-audit-gap-nan": ("argv", ["precision-audit", "--synthetic", "--gap-low", "nan"], 2),
+    # valid flags on a bundle too small for the SGR bound: the data are at fault
+    "sgr-four-rows": ("argv", ["sgr"], 1),
 }
 
 
@@ -310,6 +331,7 @@ def test_broken_input_exits_with_one_line_message(case, toy_bundle_dir, tmp_path
     assert [str(w.message) for w in caught] == []  # a warning would print a second stderr line
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
+    assert err.startswith("config error: " if code == 2 else "error: ")
     assert "Traceback" not in err
 
 
@@ -363,6 +385,15 @@ def test_verify_takes_csfs_from_flag_then_config_then_default(toy_bundle_dir, tm
                         (["--config", config, "--csf", "pe"], "csfs=pe")]:
         assert run(["verify", "--bundle", toy_bundle_dir, *extra]) == 0
         assert capsys.readouterr().out.splitlines() == [want, "aurc_max_dev=0.0e0", "auroc_max_dev=0.0e0"]
+
+
+def test_calibrate_bins_from_flag_then_config_then_default(toy_bundle_dir, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"ece_bins": 20}))
+    for extra, want in [([], 15), (["--config", config], 20), (["--config", config, "--bins", "7"], 7)]:
+        out = tmp_path / f"o{want}"
+        assert run(["calibrate", "--bundle", toy_bundle_dir, "--out", out, *extra]) == 0
+        assert json.loads((out / "calibration.json").read_text())["bins"] == want
 
 
 def test_bad_flag_values_exit_2(toy_bundle_dir):

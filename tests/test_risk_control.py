@@ -6,12 +6,27 @@ from scipy.special import betainc
 
 import fdeval.risk_control
 from conftest import both_outcomes_instance, simple_bundle
-from fdeval import NEWCLASS, aurc, auroc_f, compute_csf, ece, failure_labels, platt_apply, platt_fit, rc_curve, sgr_select
+from fdeval import (
+    NEWCLASS,
+    FailureLabels,
+    ap_f,
+    aurc,
+    auroc_f,
+    compute_csf,
+    ece,
+    failure_labels,
+    platt_apply,
+    platt_fit,
+    rc_curve,
+    sgr_select,
+)
 from fdeval.errors import (
     DegenerateLabels,
+    EmptyEvaluationSet,
     InvalidParameter,
     NoFeasibleThreshold,
     PerfectSeparation,
+    ShapeMismatch,
 )
 from fdeval.risk_control import _clopper_pearson_upper
 
@@ -65,14 +80,14 @@ def test_sgr_all_wrong_is_infeasible():
 def test_sgr_parameter_guards():
     scores = np.linspace(1.0, 0.0, 50)
     res = np.zeros(50, dtype=int)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(EmptyEvaluationSet):
         sgr_select(scores[:5], res[:5], r_star=0.15, delta=0.1)
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(InvalidParameter):
             sgr_select(scores, res, r_star=bad, delta=0.1)
         with pytest.raises(InvalidParameter):
             sgr_select(scores, res, r_star=0.15, delta=bad)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ShapeMismatch):
         sgr_select(scores, res[:20], r_star=0.15, delta=0.1)
 
 
@@ -262,7 +277,7 @@ def test_ece_guards():
         ece(np.array([-0.1]), np.array([0]))
     with pytest.raises(InvalidParameter):
         ece(np.array([0.5]), np.array([0]), bins=0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(EmptyEvaluationSet):
         ece(np.zeros(0), np.zeros(0, dtype=int))
 
 
@@ -279,5 +294,17 @@ def test_sgr_and_platt_honour_the_eval_mask():
     assert platt_fit(s, fl) == platt_fit(s[mask], res[mask])
     assert sgr_select(s, fl, r_star=0.6, delta=0.1) == sgr_select(s[mask], res[mask], r_star=0.6, delta=0.1)
     for fn in (platt_fit, lambda x, y: sgr_select(x, y, r_star=0.6, delta=0.1)):
-        with pytest.raises(InvalidParameter, match="do not align"):
+        with pytest.raises(ShapeMismatch, match="do not align"):
             fn(s[:-1], fl)
+
+
+@pytest.mark.parametrize("fn", [rc_curve, auroc_f, ap_f, lambda s, r: sgr_select(s, r, r_star=0.5, delta=0.1),
+                                platt_fit, ece], ids=["rc_curve", "auroc_f", "ap_f", "sgr_select", "platt_fit", "ece"])
+def test_scored_inputs_share_one_check(fn):
+    # every function that takes (scores, failure labels) checks them the same way
+    scores = np.linspace(0.05, 0.95, 20)
+    res = np.arange(20, dtype=np.int8) % 2
+    with pytest.raises(ShapeMismatch, match="do not align"):
+        fn(scores[:-1], res)
+    with pytest.raises(EmptyEvaluationSet):
+        fn(scores, FailureLabels(residuals=res, eval_mask=np.zeros(20, bool)))
