@@ -129,6 +129,9 @@ def build_run_config(args) -> RunConfig:
             raise InvalidParameter(f"config file {path}: {exc}")
         _check_json_object(data, CONFIG_TYPES, "config")
 
+    for key in ("bundle", "out", "precision"):    # an empty value is refused, not passed over to the next source
+        if "" in (getattr(args, key, None), data.get(key)):
+            raise InvalidParameter(f"{key} must not be empty")
     bundle = getattr(args, "bundle", None) or data.get("bundle")
     out = Path(getattr(args, "out", None) or data.get("out") or "out")
     precision = getattr(args, "precision", None) or data.get("precision") or "f64"
@@ -231,7 +234,8 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
                     raise InvalidParameter(
                         f"study {spec.name!r} CSF {csf!r} and study {other[0]!r} CSF {other[1]!r} both write {name}"
                     )
-    scores = compute_csfs(bundle, rc.csfs, rc.softmax)
+    keep_probs = any(not {"nll", "brier"}.isdisjoint(spec.metrics) for spec in studies)
+    scores = compute_csfs(bundle, rc.csfs, rc.softmax, keep_probs)
     rc.out.mkdir(parents=True, exist_ok=True)
     svgs = []
 
@@ -289,9 +293,7 @@ def cmd_sgr(rc: RunConfig, args) -> int:
     vec = compute_csf(bundle, args.csf, rc.softmax)
     result = sgr_select(vec, fl.residuals, r_star=args.rstar, delta=args.delta)
     rc.out.mkdir(parents=True, exist_ok=True)
-    obj = {"csf": args.csf}
-    obj.update(asdict(result))
-    path = write_json(rc.out / "sgr.json", obj)
+    path = write_json(rc.out / "sgr.json", {"csf": args.csf, **asdict(result)})
     print(f"wrote {path}")
     return 0
 
@@ -354,8 +356,8 @@ def cmd_precision_audit(rc: RunConfig, args) -> int:
         "accuracy": report.accuracy,
         "temperature": rc.softmax.temperature,
         "quantize_storage": not args.compute_only,
+        **source,
     }
-    obj.update(source)
     json_path = write_json(rc.out / "precision_audit.json", obj)
     lines = ["precision,round_to_one_rate,aurc,auroc_f,accuracy"]
     for p in report.precisions:

@@ -224,6 +224,7 @@ def nll(probabilities: np.ndarray, labels: np.ndarray) -> float:
 def brier(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared distance between the probability row and the one-hot truth."""
     p, y = _probs_and_labels(probabilities, labels)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y] = 1.0
-    return float(np.mean(np.sum((p - onehot) ** 2, axis=1)))
+    # p minus the one-hot truth, squared in place: one (n, c) array, not three
+    diff = p.copy()
+    diff[np.arange(p.shape[0]), y] -= 1.0
+    return float(np.mean(np.sum(np.square(diff, out=diff), axis=1)))

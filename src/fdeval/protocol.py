@@ -27,7 +27,7 @@ from .errors import EmptyEvaluationSet, FdevalError, InvalidParameter
 from . import metrics as M
 from .risk_control import ece, platt_apply, platt_fit
 # compute_csf is not called here; fdbench/tracing.py binds fdeval.protocol.compute_csf by name
-from .scores import ConfidenceVector, SoftmaxConfig, compute_csf, softmax  # noqa: F401
+from .scores import CsfScores, SoftmaxConfig, compute_csf, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
 KNOWN_METRICS = (
@@ -87,17 +87,15 @@ class MetricReport:
 
 
 def _ece_of(conf: np.ndarray, flabels, bins: int) -> float:
-    if conf.min() >= 0.0 and conf.max() <= 1.0:
-        calibrated = conf
-    else:
-        calibrated = platt_apply(platt_fit(conf, flabels), conf)
-    return ece(calibrated, flabels, bins=bins)
+    """ECE of the raw scores if they lie in [0, 1], else of their Platt fit."""
+    raw = conf.min() >= 0.0 and conf.max() <= 1.0
+    return ece(conf if raw else platt_apply(platt_fit(conf, flabels), conf), flabels, bins=bins)
 
 
 def run_study(
     bundle: PredictionBundle,
     spec: StudySpec,
-    scores: dict[str, ConfidenceVector],
+    scores: CsfScores,
     cfg: SoftmaxConfig | None = None,
     ece_bins: int = 15,
     on_curve=None,
@@ -105,16 +103,18 @@ def run_study(
     """Evaluate every scored CSF under one study; returns a report fragment.
 
     scores maps each CSF to its confidences over all bundle rows, as
-    compute_csfs gives them; the study keeps the rows its shift filter
-    selects. Every ranking metric of a CSF is read off one sort of its
-    confidences. on_curve(study name, csf, curve), when given, receives each
-    CSF's curve.
+    compute_csfs returns them; the study keeps the rows its shift filter
+    selects, also of the logits softmax that scores.probs holds; cfg sets the
+    precision of nll and brier only when it holds none. Every ranking metric
+    of a CSF is read off one sort of its confidences.
+    on_curve(study name, csf, curve), when given, receives each CSF's curve.
     """
-    cfg = cfg or SoftmaxConfig()
     keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
     if not keep.any():
         raise EmptyEvaluationSet(f"study {spec.name!r}: no samples match {spec.shift_filter}")
-    sub = PredictionBundle(logits=bundle.logits[keep], labels=bundle.labels[keep], shift_tags=bundle.shift_tags[keep])
+    # a study that keeps every row reads the bundle itself, without copies of its logits, labels and tags
+    sub = bundle if keep.all() else PredictionBundle(logits=bundle.logits[keep], labels=bundle.labels[keep],
+                                                     shift_tags=bundle.shift_tags[keep])
     flabels = failure_labels(sub, spec.kind)
 
     report = MetricReport()
@@ -131,10 +131,12 @@ def run_study(
         if "accuracy" in spec.metrics:
             classifier["accuracy"] = M.accuracy(flabels)
         if not {"nll", "brier"}.isdisjoint(spec.metrics):
-            probs, truth = softmax(sub.logits, cfg)[inlier], sub.labels[inlier]
+            # softmax is rowwise, so the run's softmax of the study's inlier rows is their own softmax
+            rows = np.flatnonzero(keep)[inlier]
+            probs = softmax(bundle.logits[rows], cfg) if scores.probs is None else scores.probs[rows]
             for metric, fn in (("nll", M.nll), ("brier", M.brier)):
                 if metric in spec.metrics:
-                    classifier[metric] = fn(probs, truth)
+                    classifier[metric] = fn(probs, bundle.labels[rows])
     except FdevalError as exc:
         raise type(exc)(f"[study {spec.name}] {exc}") from exc
 
@@ -181,13 +183,7 @@ def rank_table(report: MetricReport) -> MetricReport:
     for (study, csf, metric), value in report.values.items():
         columns.setdefault((study, metric), []).append((csf, value))
     for (study, metric), entries in columns.items():
-        lower = metric in LOWER_BETTER
-        ranks = {}
-        for csf, value in entries:
-            if lower:
-                better = sum(1 for _, v in entries if v < value)
-            else:
-                better = sum(1 for _, v in entries if v > value)
-            ranks[csf] = 1 + better
-        report.ranks[(study, metric)] = ranks
+        lower = metric in LOWER_BETTER    # a CSF's rank is 1 + the number of strictly better values
+        report.ranks[(study, metric)] = {csf: 1 + sum(v < value if lower else v > value for _, v in entries)
+                                         for csf, value in entries}
     return report

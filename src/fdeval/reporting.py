@@ -25,13 +25,9 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def round12(v: float) -> float:
-    return float(fmt_float(v))
-
-
 def _round_tree(obj):
     if isinstance(obj, float):
-        return round12(obj)
+        return float(fmt_float(obj))
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

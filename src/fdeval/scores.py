@@ -61,8 +61,8 @@ class SoftmaxConfig:
     def __post_init__(self):
         if self.precision not in PRECISIONS:
             raise InvalidParameter(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if not (self.temperature > 0):
-            raise InvalidParameter(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:  # an infinite one makes every softmax row uniform
+            raise InvalidParameter(f"temperature must be finite and positive, got {self.temperature}")
 
 
 @dataclass
@@ -142,14 +142,12 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     cov = centered.T @ centered / feats.shape[0]
     lam = 1e-6 * np.trace(cov) / feats.shape[1] if ridge is None else float(ridge)
     cov = cov + lam * np.eye(feats.shape[1])
-    from scipy.linalg import cholesky  # imported here: scipy.linalg would cost every command's start-up
-
+    if not np.isfinite(cov).all():  # NaN/inf features, or an overflowed covariance
+        raise NonFiniteValue("maha: covariance has non-finite entries")
     try:
-        chol = cholesky(cov, lower=True)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"maha: covariance not positive definite (ridge {lam:g}): {exc}") from exc
-    except ValueError as exc:  # cholesky's finiteness check: NaN/inf features, or an overflowed covariance
-        raise NonFiniteValue(f"maha: covariance has non-finite entries: {exc}") from exc
     return MahaModel(class_ids=class_ids, means=means, chol_lower=chol, ridge=lam)
 
 
@@ -168,9 +166,11 @@ _MAHA_BLOCK = 1 << 20
 # class c differs from the difference form by cancellation and whitening
 # error, measured at about u * cond(L) * (|z_i|^2 + max_c |m_c|^2), u = 1.1e-16.
 # The default ridge bounds cond(cov) by 1 + 1e6 * d, so cond(L) <= 1.6e4 at
-# d = 256; with rank-1 features, which reach that bound, the error measured
-# 2.8e-12 of the scale at d = 256 and 4.2e-12 at d = 1024. 1e-8 leaves three
-# orders of magnitude, and the pick then holds the argmin of the difference form.
+# d = 256; with rank-1 features, which reach that bound, the error of the
+# inverse-factor whitening measured at most 1.6e-12 of the scale at d = 256
+# and 2.5e-12 at d = 1024 (2000 rows, 50 classes, three seeds). 1e-8 leaves
+# more than three orders of magnitude, and the pick then holds the argmin of
+# the difference form.
 _MAHA_MARGIN = 1e-8
 
 
@@ -178,38 +178,41 @@ def _rows_per_block(width: int) -> int:
     return max(1, _MAHA_BLOCK // max(width, 1))
 
 
+def _whiten(rows: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
+    """L^-1 x for every row x, as one GEMM."""
+    return rows @ inv_chol.T
+
+
 def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVector:
     """Negated minimum squared Mahalanobis distance to any class mean.
 
     With L the Cholesky factor and c the mean of the class means, features and
-    means are whitened once (z = L^-1 (x - c), m = L^-1 (mu - c)), and one GEMM
-    per row block gives the expanded distances |z|^2 - 2 z.m + |m|^2. Every
-    class within _MAHA_MARGIN of a row's smallest expanded distance is a
-    candidate, and the score is the minimum of the difference form
-    |L^-1 (x - mu_c)|^2 over the candidates, so the cancellation of the
-    expansion never reaches the result.
+    means are whitened once by the inverse factor (z = L^-1 (x - c),
+    m = L^-1 (mu - c)), and one GEMM per row block gives the expanded distances
+    |z|^2 - 2 z.m + |m|^2. Every class within _MAHA_MARGIN of a row's smallest
+    expanded distance is a candidate, and the score is the minimum of the
+    difference form |L^-1 (x - mu_c)|^2 over the candidates, so the
+    cancellation of the expansion never reaches the result.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != model.means.shape[1]:
         raise InvalidParameter(f"features {feats.shape} do not match model dim {model.means.shape[1]}")
     _check_finite(feats, "features")
-    from scipy.linalg import solve_triangular  # imported here, as in fit_mahalanobis
-
     n, dim = feats.shape
-    chol = model.chol_lower
+    inv_chol = np.linalg.inv(model.chol_lower)
     # centering keeps a common feature offset out of |z|^2 and so out of the
     # margin; the distances do not change
     center = model.means.mean(axis=0)
-    z = solve_triangular(chol, (feats - center).T, lower=True)
-    m = solve_triangular(chol, (model.means - center).T, lower=True)
-    zz = np.einsum("ij,ij->j", z, z)
-    mm = np.einsum("ij,ij->j", m, m)
+    z = _whiten(feats - center, inv_chol)
+    m = _whiten(model.means - center, inv_chol)
+    zz = np.einsum("ij,ij->i", z, z)
+    mm = np.einsum("ij,ij->i", m, m)
     margin = _MAHA_MARGIN * (zz + mm.max())
 
     rows, classes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # n = 0 concatenates too
     step = _rows_per_block(model.means.shape[0])
     for lo in range(0, n, step):
-        block = z[:, lo:lo + step].T @ m
+        block = z[lo:lo + step] @ m.T
         block *= -2.0
         block += zz[lo:lo + step, None]
         block += mm
@@ -226,20 +229,27 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
     step = _rows_per_block(dim)
     for lo in range(0, rows.size, step):
         r, c = rows[lo:lo + step], classes[lo:lo + step]
-        w = solve_triangular(chol, (feats[r] - model.means[c]).T, lower=True)
-        np.minimum.at(best, r, np.sum(w * w, axis=0))
+        w = _whiten(feats[r] - model.means[c], inv_chol)
+        np.minimum.at(best, r, np.einsum("ij,ij->i", w, w))
     return ConfidenceVector(csf_id=MAHA, scores=-best + 0.0, precision_mode=F64)
 
 
-def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None) -> dict[str, ConfidenceVector]:
+class CsfScores(dict):
+    """CSF id -> ConfidenceVector over all bundle rows; probs is the logits softmax, if kept."""
+
+    probs: np.ndarray | None = None
+
+
+def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None, keep_probs: bool = False) -> CsfScores:
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
-    One logits softmax feeds msr and pe; one MC-dropout softmax, its mean over passes and its expected
-    entropy feed mcd-msr, mcd-pe, mcd-ee and mcd-mi. maha is fitted once, on the inlier-labeled rows.
+    One logits softmax feeds msr and pe, and the result holds it as probs when keep_probs asks for it
+    (for nll and brier); one MC-dropout softmax, its mean over passes and its expected entropy feed
+    mcd-msr, mcd-pe, mcd-ee and mcd-mi. maha is fitted once, on the inlier-labeled rows.
     """
     cfg = cfg or SoftmaxConfig()
     p = mean_p = expected_entropy = None
-    if not {MSR, PE}.isdisjoint(csf_ids):
+    if keep_probs or not {MSR, PE}.isdisjoint(csf_ids):
         p = softmax(bundle.logits, cfg)
     if not {MCD_MSR, MCD_PE, MCD_EE, MCD_MI}.isdisjoint(csf_ids) and bundle.mcd_logits is not None:
         p_mc = softmax(bundle.mcd_logits, cfg)       # per pass, then aggregate
@@ -258,7 +268,8 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         MCD_MLS: lambda: np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1),
     }
 
-    out = {}
+    out = CsfScores()
+    out.probs = p if keep_probs else None   # held for the whole run, so only when a study reads it
     for csf_id in csf_ids:
         if csf_id.startswith(EXTERNAL_PREFIX):
             name = csf_id[len(EXTERNAL_PREFIX):]

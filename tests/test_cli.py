@@ -301,6 +301,15 @@ BROKEN_INPUTS = {
     "precision-audit-gap-negative": ("argv", ["precision-audit", "--synthetic", "--gap-low", "-1"], 2),
     "precision-audit-gap-infinite": ("argv", ["precision-audit", "--synthetic", "--gap-high", "inf"], 2),
     "precision-audit-gap-nan": ("argv", ["precision-audit", "--synthetic", "--gap-low", "nan"], 2),
+    # an infinite temperature makes every softmax row uniform, which ranks nothing
+    "precision-audit-temperature-infinite": ("argv", ["precision-audit", "--synthetic", "--n", "300",
+                                                      "--temperature", "inf"], 2),
+    # an empty path or precision is refused, not passed over to the config's value or the default
+    "out-flag-empty": ("argv", ["score", "--csf", "msr", "--out", ""], 2),
+    "bundle-flag-empty": ("argv", ["evaluate", "--bundle", ""], 2),
+    "out-empty": ("config", {"out": ""}, 2),
+    "bundle-empty": ("config", {"bundle": ""}, 2),
+    "precision-empty": ("config", {"precision": ""}, 2),
     # valid flags on a bundle too small for the SGR bound: the data are at fault
     "sgr-four-rows": ("argv", ["sgr"], 1),
 }
@@ -360,9 +369,10 @@ def scipy_modules_after(argv=None) -> list[str]:
 
 
 @pytest.mark.parametrize("case, loads", [("import", None), ("evaluate-msr-pe-ece", None),
-                                         ("evaluate-maha", "scipy.linalg"), ("sgr", "scipy.special")])
+                                         ("evaluate-maha", None), ("sgr", "scipy.special")])
 def test_commands_load_only_the_scipy_they_call(case, loads, toy_bundle_dir, tmp_path):
-    # scipy.linalg and scipy.special each cost about a third of a second of start-up
+    # scipy.linalg and scipy.special each cost about a third of a second of start-up;
+    # maha runs on numpy's linalg, so only sgr, for betaincinv, imports scipy
     argv = None
     if case == "sgr":
         argv = ["sgr", "--config", write_workload(tmp_path, "calibration-100k"), "--rstar", "0.5", "--delta", "0.2"]
@@ -414,9 +424,9 @@ def write_workload(tmp_path, name, config=None):
     return path
 
 
-@pytest.mark.parametrize("workload, calls", [("scores-wide", 3), ("ranking-100k", 1), ("calibration-100k", 2)])
+@pytest.mark.parametrize("workload, calls", [("scores-wide", 2), ("ranking-100k", 1), ("calibration-100k", 1)])
 def test_evaluate_softmaxes_each_logits_array_once(workload, calls, tmp_path, monkeypatch):
-    # the logits and the MC stack once each for the CSFs, and the logits once more per study with nll or brier
+    # the logits and the MC stack once each: a study's nll and brier read its rows off the CSFs' logits softmax
     counted = []
     real = fdeval.scores.softmax
 

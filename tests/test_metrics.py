@@ -221,6 +221,25 @@ def test_nll_and_brier_fixtures():
     assert nll(np.array([[1.0, 0.0]]), np.array([1])) == pytest.approx(-np.log(1e-300), abs=1e-9)
 
 
+def onehot_brier(probs, labels):
+    """Brier score as first written: an explicit one-hot array subtracted from the probabilities."""
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(probs.shape[0]), labels] = 1.0
+    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("n, c", [(1, 2), (7, 3), (1000, 10), (100_000, 10), (300, 400)])
+def test_brier_matches_onehot_form_exactly(n, c):
+    rng = np.random.default_rng(n + c)
+    logits = rng.normal(0, 3, (n, c))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    probs[0] = np.eye(c)[0]   # a row holding exact zeros and an exact one
+    labels = rng.integers(0, c, n)
+    before = probs.copy()
+    assert brier(probs, labels) == onehot_brier(probs, labels)
+    assert np.array_equal(probs, before)   # the squared difference is taken in a copy
+
+
 def test_nll_brier_guards():
     probs = np.full((2, 2), 0.5)
     with pytest.raises(LabelOutOfRange):

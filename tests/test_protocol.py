@@ -265,3 +265,29 @@ def test_a_row_has_one_maha_score_in_every_study():
         want = rc_curve(maha[keep], failure_labels(b.select(keep), spec.kind))
         assert curves["maha"].coverages.tobytes() == want.coverages.tobytes(), spec.name
         assert curves["maha"].risks.tobytes() == want.risks.tobytes(), spec.name
+
+
+@pytest.mark.parametrize("precision", ["f16", "f32", "f64"])
+def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
+    # the rows a study keeps of the run's logits softmax are a softmax of those rows
+    workloads = load_fdbench_module("workloads")
+    b = workloads.generate(workloads.Shape(n=400, c=6), 13)   # IID, COVARIATE and new-class rows
+    cfg = SoftmaxConfig(precision=precision)
+    metrics = ("nll", "brier")
+    studies = [
+        StudySpec(name="all", metrics=metrics),
+        StudySpec(name="iid", shift_filter=("IID",), metrics=metrics),
+        StudySpec(name="new", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC"), metrics=metrics),
+    ]
+    shared = compute_csfs(b, ["mls"], cfg, keep_probs=True)
+    assert shared.probs.tobytes() == softmax(b.logits, cfg).tobytes()
+    assert compute_csfs(b, ["msr"], cfg).probs is None   # held for the run only when asked for
+    for spec in studies:
+        sub = b.select(np.isin(b.shift_tags, spec.shift_filter))
+        inlier = sub.labels < sub.n_classes
+        assert inlier.sum() < b.n_samples and inlier.sum() > 0
+        own = softmax(sub.logits, cfg)[inlier]
+        want = {"nll": nll(own, sub.labels[inlier]), "brier": brier(own, sub.labels[inlier])}
+        for scores in (shared, compute_csfs(b, ["mls"], cfg)):
+            values = run_study(b, spec, scores, cfg).values
+            assert {m: values[(spec.name, "mls", m)] for m in metrics} == want, spec.name

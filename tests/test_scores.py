@@ -1,11 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+import fdeval.scores
 from conftest import simple_bundle
 from fdeval import (
     ConfidenceVector,
@@ -267,18 +267,34 @@ def test_mahalanobis_non_finite_features_raise_non_finite_value():
         fit_mahalanobis(bad, labels)
     with pytest.raises(NonFiniteValue), np.errstate(over="ignore", invalid="ignore"):
         fit_mahalanobis(feats * 1e200, labels)  # finite features, overflowing covariance
+    # numpy's cholesky returns a NaN factor for a NaN covariance instead of raising
+    with pytest.raises(NonFiniteValue, match="covariance"):
+        fit_mahalanobis(feats, labels, ridge=float("nan"))
     with pytest.raises(NonFiniteValue, match="row 5"):
         score_mahalanobis(model, bad)
 
 
 def per_class_mahalanobis(model, feats):
-    """The former scoring loop, one triangular solve over all rows per class."""
+    """The scoring loop before the candidate pick, one scipy triangular solve over all rows per class."""
     best = np.full(feats.shape[0], np.inf)
     for k in range(model.means.shape[0]):
         diff = feats - model.means[k]
         z = solve_triangular(model.chol_lower, diff.T, lower=True)
         best = np.minimum(best, np.sum(z * z, axis=0))
     return -best + 0.0
+
+
+def recording_whiten(monkeypatch) -> list[int]:
+    """Rows of every whitening GEMM score_mahalanobis makes: features, means, then each refine block."""
+    whitened = []
+    real = fdeval.scores._whiten
+
+    def recording(rows, inv_chol):
+        whitened.append(rows.shape[0])
+        return real(rows, inv_chol)
+
+    monkeypatch.setattr(fdeval.scores, "_whiten", recording)
+    return whitened
 
 
 def maha_case(name, rng):
@@ -315,43 +331,31 @@ def maha_case(name, rng):
 )
 def test_mahalanobis_matches_per_class_loop(name, monkeypatch):
     model, rows = maha_case(name, np.random.default_rng(17))
-    solved = []
-    real_solve = scipy.linalg.solve_triangular
-
-    def recording_solve(a, b, **kwargs):
-        solved.append(b.shape[1])
-        return real_solve(a, b, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", recording_solve)
+    whitened = recording_whiten(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         got = score_mahalanobis(model, rows).scores
         want = per_class_mahalanobis(model, rows)
     assert np.array_equal(np.argsort(got, kind="stable"), np.argsort(want, kind="stable"))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+    assert whitened[:2] == [rows.shape[0], model.means.shape[0]]
     if name in ("overflowing-expansion", "equidistant"):
         # midpoints keep both of their classes and overflowed rows every class,
-        # so the refining solve sees more pairs than rows
-        assert sum(solved[2:]) > rows.shape[0]
+        # so the refine blocks see more pairs than rows
+        assert sum(whitened[2:]) > rows.shape[0]
 
 
 def test_mahalanobis_solve_count_does_not_grow_with_classes(monkeypatch):
-    solves = []
-    real_solve = scipy.linalg.solve_triangular
-
-    def counting_solve(*args, **kwargs):
-        solves.append(1)
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", counting_solve)
+    whitened = recording_whiten(monkeypatch)
     rng = np.random.default_rng(6)
     counts = []
     for k in (2, 8, 32):
         labels = np.arange(128) % k
         feats = rng.normal(size=(k, 16))[labels] + rng.normal(size=(128, 16))
         model = fit_mahalanobis(feats, labels)
-        solves.clear()
+        whitened.clear()
         score_mahalanobis(model, feats)
-        counts.append(len(solves))
+        counts.append(len(whitened))
+    # features, means and one refine block
     assert counts == [3, 3, 3]
 
 
