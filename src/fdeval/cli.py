@@ -101,7 +101,7 @@ def _no_control_chars(name: str, what: str) -> str:
 
 
 def _valid_bins(bins, what: str) -> int:
-    if isinstance(bins, bool) or not 1 <= bins <= MAX_BINS:
+    if not 1 <= bins <= MAX_BINS:
         raise InvalidParameter(f"{what} must be an integer in [1, {MAX_BINS}], got {bins!r}")
     return bins
 
@@ -113,7 +113,8 @@ def _check_json_object(value, types: dict, what: str) -> None:
     if unknown:
         raise InvalidParameter(f"unknown {what} keys: {sorted(unknown)}")
     for key, item in value.items():
-        if not isinstance(item, types[key]):
+        # a JSON true or false is no number, though Python's bool is an int; no key takes a bool
+        if isinstance(item, bool) or not isinstance(item, types[key]):
             raise InvalidParameter(f"{what} key {key!r} has the wrong JSON type: {item!r}")
 
 

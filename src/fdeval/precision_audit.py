@@ -74,7 +74,7 @@ def audit(
         logits = quantize(bundle.logits, p) if quantize_storage else bundle.logits
         cfg = SoftmaxConfig(precision=p, temperature=temperature)
         # a logit beyond f16's range stores as inf, and its row's msr is NaN
-        msr = _nan_free(np.max(softmax(logits, cfg), axis=-1), f"{p} msr")
+        msr = _nan_free(np.max(softmax(logits, cfg), axis=-1), f"{p} msr", logits, cfg)
         report.round_to_one_rate[p] = float(np.mean(_rounds_to_one(msr, logits)))
         sweep = _Sweep(msr)
         report.aurc[p] = aurc(sweep.curve(res))

@@ -87,9 +87,10 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or SoftmaxConfig()
     dtype = _DTYPES[cfg.precision]
-    # a logit beyond the precision's range casts to inf, and inf - inf gives a NaN
-    # probability; callers report its row, so numpy need not warn about it first
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a logit beyond the precision's range casts to inf, as does one divided by a tiny
+    # temperature (at f16 it can cast to 0), and inf - inf gives a NaN probability;
+    # callers report its row, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
         if dtype is np.float16:
             # half exp is not correctly rounded, so it runs in f64; accumulate rounds
@@ -102,11 +103,20 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
         return (e / total).astype(np.float64, copy=False)
 
 
-def _nan_free(scores: np.ndarray, what: str) -> np.ndarray:
-    """scores, unless one is NaN: a NaN has no rank, so the error names its first row."""
+def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxConfig) -> np.ndarray:
+    """scores, unless one is NaN: a NaN has no rank, so the error names its first row.
+
+    logits are the rows the scores were softmaxed from at cfg. Where that row's logits are finite
+    at cfg's precision, only dividing them by the temperature can have overflowed, so the error
+    names the temperature.
+    """
     nan = np.flatnonzero(np.isnan(scores))
     if nan.size:
-        raise NonFiniteValue(f"{what}: NaN score at row {int(nan[0])}")
+        row = int(nan[0])
+        if np.isfinite(quantize(logits[row], cfg.precision)).all():
+            raise InvalidParameter(f"temperature {cfg.temperature} overflows the {cfg.precision} logits "
+                                   f"of row {row}, leaving {what} NaN")
+        raise NonFiniteValue(f"{what}: NaN score at row {row}")
     return scores
 
 
@@ -287,7 +297,8 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         elif csf_id.startswith("mcd-") and bundle.mcd_logits is None:
             raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
         else:
-            scores = _nan_free(formulas[csf_id](), csf_id)
+            logits = bundle.mcd_logits if csf_id.startswith("mcd-") else bundle.logits
+            scores = _nan_free(formulas[csf_id](), csf_id, logits, cfg)
             out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=cfg.precision)
     return out
 

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 import fdeval.risk_control
 from conftest import both_outcomes_instance, simple_bundle
@@ -148,6 +149,69 @@ def test_closed_form_bound_matches_bisection():
         delta = float(10 ** rng.uniform(-6, -0.05))
         want = bisect_binomial_tail(k, m, math.log(delta))
         assert _clopper_pearson_upper(k, m, delta) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def binom_cdf_mp(k, m, p):
+    """P[Binom(m, p) <= k] in mpmath, as the sum of its k + 1 terms."""
+    q = 1 - p
+    term = total = q**m
+    for j in range(k):
+        term = term * (m - j) / (j + 1) * p / q
+        total += term
+    return total
+
+
+def mpmath_bound(k, m, delta, guess):
+    """The root of P[Binom(m, p) <= k] = delta at 40 digits.
+
+    It is sought on a bracket of relative width about 2e-9 around guess, and that the bracket holds
+    the root is checked first, so the reference takes nothing from the value under test on trust.
+    """
+    with mpmath.workdps(40):
+        g = mpmath.mpf(guess)
+        lo, hi = g * (1 - 1e-9), min(g * (1 + 1e-9), (1 + g) / 2)    # the CDF sum needs p < 1
+
+        def excess(p):
+            return binom_cdf_mp(k, m, p) - delta
+
+        assert excess(lo) > 0 > excess(hi), (k, m, delta)
+        return mpmath.findroot(excess, (lo, hi), solver="anderson")
+
+
+@pytest.mark.parametrize("log_m, max_k, rel", [
+    ((0.3, math.log10(3000)), None, 1e-12),
+    # few errors among many rows: the bound is small and 1 - p is close to 1, where a continued
+    # fraction formed from 1 - p cancels (such a one strayed by up to 7e-12 here); the sum stays short
+    ((4, 6), 30, 1e-14),
+], ids=["m-to-3000", "few-errors-m-1e4-to-1e6"])
+def test_bound_matches_mpmath(log_m, max_k, rel):
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        m = int(10 ** rng.uniform(*log_m))
+        k = int(rng.integers(0, min(m, max_k or m)))
+        delta = float(10 ** rng.uniform(-15, -0.02) if max_k is None else 10 ** rng.uniform(-6, -0.3))
+        got = _clopper_pearson_upper(k, m, delta)
+        want = mpmath_bound(k, m, delta, got)
+        assert abs(got - want) <= rel * want, (k, m, delta)
+
+
+def test_bound_matches_scipy_up_to_a_million_rows():
+    rng = np.random.default_rng(43)
+    for _ in range(150):
+        m = int(10 ** rng.uniform(1, 6))
+        # few errors among many rows is where 1 - p cancels; it gets a third of the draws
+        k = int(rng.integers(0, m)) if rng.random() < 0.67 else int(rng.integers(0, min(m, 30)))
+        delta = float(10 ** rng.uniform(-6, math.log10(0.25)))
+        want = float(betaincinv(k + 1, m - k, 1.0 - delta))
+        assert _clopper_pearson_upper(k, m, delta) == pytest.approx(want, rel=1e-11, abs=0), (k, m, delta)
+
+
+@pytest.mark.parametrize("k, m, delta", [(5, 10, 1e-12), (28, 1744, 2.279171557989047e-06)])
+def test_bound_where_scipy_strays(k, m, delta):
+    # scipy 1.17.1's betaincinv misses these roots by 5.8e-9 and 6.5e-13 relative
+    got = _clopper_pearson_upper(k, m, delta)
+    want = mpmath_bound(k, m, delta, got)
+    assert abs(got - want) <= 5e-16 * want
 
 
 def test_platt_recovers_true_logistic_parameters():
