@@ -33,8 +33,7 @@ from .protocol import (
 )
 from .reporting import (
     AURC_SCALE,
-    curve_csv_text,
-    fmt_float,
+    csv_text,
     render_rc_svg,
     report_csv_text,
     report_json_obj,
@@ -195,36 +194,40 @@ def _require_bundle(rc: RunConfig):
     return load_bundle(rc.bundle)
 
 
-def _default_studies(bundle) -> list[StudySpec]:
-    present = tuple(t for t in ALL_TAGS if t in set(bundle.shift_tags.tolist()))
-    return [StudySpec(name="standard", kind=STANDARD, shift_filter=present, metrics=DEFAULT_METRICS)]
-
-
-def cmd_score(rc: RunConfig, args) -> int:
+def _standard_csf(rc: RunConfig, csf: str):
+    """The bundle and one CSF's confidences over all of its rows, the input of the single-CSF commands."""
     bundle = _require_bundle(rc)
-    vec = compute_csf(bundle, args.csf, rc.softmax)
+    return bundle, compute_csf(bundle, csf, rc.softmax)
+
+
+def _write(rc: RunConfig, name: str, content) -> Path:
+    """Write one artifact into the output directory: a dict as deterministic JSON, a str as it is."""
     rc.out.mkdir(parents=True, exist_ok=True)
-    path = write_json(
-        rc.out / f"scores_{safe_name(args.csf)}.json",
-        {
-            "csf": vec.csf_id,
-            "precision": vec.precision_mode,
-            "temperature": rc.softmax.temperature,
-            "n": int(vec.scores.shape[0]),
-            "scores": [float(v) for v in vec.scores],
-        },
-    )
-    print(f"wrote {path}")
-    return 0
+    path = rc.out / name
+    if isinstance(content, dict):
+        return write_json(path, content)
+    path.write_text(content)
+    return path
+
+
+def cmd_score(rc: RunConfig, args) -> list[Path]:
+    _, vec = _standard_csf(rc, args.csf)
+    return [_write(rc, f"scores_{safe_name(args.csf)}.json", {
+        "csf": vec.csf_id,
+        "precision": vec.precision_mode,
+        "temperature": rc.softmax.temperature,
+        "n": int(vec.scores.shape[0]),
+        "scores": vec.scores,
+    })]
 
 
 def _svg_name(study: str, csf: str) -> str:
     return f"rc_{safe_name(study)}_{safe_name(csf)}.svg"
 
 
-def cmd_evaluate(rc: RunConfig, args) -> int:
+def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
     bundle = _require_bundle(rc)
-    studies = rc.studies or _default_studies(bundle)
+    studies = rc.studies or [StudySpec(name="standard")]
     if "svg" in rc.emit:
         owners = {}
         for spec in studies:
@@ -237,13 +240,10 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
                     )
     keep_probs = any(not {"nll", "brier"}.isdisjoint(spec.metrics) for spec in studies)
     scores = compute_csfs(bundle, rc.csfs, rc.softmax, keep_probs)
-    rc.out.mkdir(parents=True, exist_ok=True)
     svgs = []
 
     def write_svg(study: str, csf: str, curve) -> None:
-        path = rc.out / _svg_name(study, csf)
-        path.write_text(render_rc_svg(curve, study, csf))
-        svgs.append(path)
+        svgs.append(_write(rc, _svg_name(study, csf), render_rc_svg(curve, study, csf)))
 
     on_curve = write_svg if "svg" in rc.emit else None
     report = MetricReport()
@@ -253,77 +253,51 @@ def cmd_evaluate(rc: RunConfig, args) -> int:
 
     written = []
     if "json" in rc.emit:
-        written.append(write_json(rc.out / "report.json", report_json_obj(report)))
+        written.append(_write(rc, "report.json", report_json_obj(report)))
     if "csv" in rc.emit:
-        path = rc.out / "report.csv"
-        path.write_text(report_csv_text(report))
-        written.append(path)
-    for path in written + svgs:
-        print(f"wrote {path}")
-    return 0
+        written.append(_write(rc, "report.csv", report_csv_text(report)))
+    return written + svgs
 
 
-def cmd_rc_curve(rc: RunConfig, args) -> int:
-    bundle = _require_bundle(rc)
+def cmd_rc_curve(rc: RunConfig, args) -> list[Path]:
+    bundle, vec = _standard_csf(rc, args.csf)
     fl = failure_labels(bundle, STANDARD)
-    vec = compute_csf(bundle, args.csf, rc.softmax)
     curve = rc_curve(vec, fl)
-    rc.out.mkdir(parents=True, exist_ok=True)
     value = aurc(curve)
-    csv_path = rc.out / "rc_curve.csv"
-    csv_path.write_text(curve_csv_text(curve))
-    json_path = write_json(
-        rc.out / "rc_curve.json",
-        {
+    return [
+        _write(rc, "rc_curve.csv", csv_text(["coverage", "risk"], zip(curve.coverages, curve.risks))),
+        _write(rc, "rc_curve.json", {
             "csf": args.csf,
-            "coverages": [float(v) for v in curve.coverages],
-            "risks": [float(v) for v in curve.risks],
-            "weights": [float(v) for v in curve.weights],
+            **asdict(curve),
             "aurc": value * AURC_SCALE,
             "aurc_raw": value,
-        },
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    return 0
+        }),
+    ]
 
 
-def cmd_sgr(rc: RunConfig, args) -> int:
-    bundle = _require_bundle(rc)
+def cmd_sgr(rc: RunConfig, args) -> list[Path]:
+    bundle, vec = _standard_csf(rc, args.csf)
     fl = failure_labels(bundle, STANDARD)
-    vec = compute_csf(bundle, args.csf, rc.softmax)
     result = sgr_select(vec, fl.residuals, r_star=args.rstar, delta=args.delta)
-    rc.out.mkdir(parents=True, exist_ok=True)
-    path = write_json(rc.out / "sgr.json", {"csf": args.csf, **asdict(result)})
-    print(f"wrote {path}")
-    return 0
+    return [_write(rc, "sgr.json", {"csf": args.csf, **asdict(result)})]
 
 
-def cmd_calibrate(rc: RunConfig, args) -> int:
-    bundle = _require_bundle(rc)
+def cmd_calibrate(rc: RunConfig, args) -> list[Path]:
+    bundle, vec = _standard_csf(rc, args.csf)
     fl = failure_labels(bundle, STANDARD)
-    vec = compute_csf(bundle, args.csf, rc.softmax)
     model = platt_fit(vec, fl.residuals, prior_smoothing=args.smoothing)
     calibrated = platt_apply(model, vec)
     value = ece(calibrated, fl.residuals, bins=rc.ece_bins)
-    rc.out.mkdir(parents=True, exist_ok=True)
-    path = write_json(
-        rc.out / "calibration.json",
-        {
-            "csf": args.csf,
-            "a": model.a,
-            "b": model.b,
-            "n_iter": model.n_iter,
-            "bins": rc.ece_bins,
-            "smoothing": bool(args.smoothing),
-            "ece": value,
-        },
-    )
-    print(f"wrote {path}")
-    return 0
+    return [_write(rc, "calibration.json", {
+        "csf": args.csf,
+        **asdict(model),
+        "bins": rc.ece_bins,
+        "smoothing": bool(args.smoothing),
+        "ece": value,
+    })]
 
 
-def cmd_precision_audit(rc: RunConfig, args) -> int:
+def cmd_precision_audit(rc: RunConfig, args) -> list[Path]:
     if args.synthetic:
         seed = _env_seed()
         bundle, residuals = synthesize_highconf_bundle(
@@ -347,33 +321,21 @@ def cmd_precision_audit(rc: RunConfig, args) -> int:
         temperature=rc.softmax.temperature,
         quantize_storage=not args.compute_only,
     )
-    rc.out.mkdir(parents=True, exist_ok=True)
     obj = {
-        "precisions": report.precisions,
-        "round_to_one_rate": report.round_to_one_rate,
+        **asdict(report),
         "aurc": {p: v * AURC_SCALE for p, v in report.aurc.items()},
         "aurc_raw": report.aurc,
-        "auroc_f": report.auroc_f,
-        "accuracy": report.accuracy,
         "temperature": rc.softmax.temperature,
         "quantize_storage": not args.compute_only,
         **source,
     }
-    json_path = write_json(rc.out / "precision_audit.json", obj)
-    lines = ["precision,round_to_one_rate,aurc,auroc_f,accuracy"]
-    for p in report.precisions:
-        lines.append(
-            f"{p},{fmt_float(report.round_to_one_rate[p])},{fmt_float(report.aurc[p] * AURC_SCALE)},"
-            f"{fmt_float(report.auroc_f[p])},{fmt_float(report.accuracy[p])}"
-        )
-    csv_path = rc.out / "precision_audit.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {json_path}")
-    print(f"wrote {csv_path}")
-    return 0
+    rows = [(p, report.round_to_one_rate[p], report.aurc[p] * AURC_SCALE, report.auroc_f[p], report.accuracy[p])
+            for p in report.precisions]
+    table = csv_text(["precision", "round_to_one_rate", "aurc", "auroc_f", "accuracy"], rows)
+    return [_write(rc, "precision_audit.json", obj), _write(rc, "precision_audit.csv", table)]
 
 
-def cmd_verify(rc: RunConfig, args) -> int:
+def cmd_verify(rc: RunConfig, args) -> list[Path]:
     bundle = _require_bundle(rc)
     fl = failure_labels(bundle, STANDARD)
     csfs = args.csf or rc.csfs
@@ -390,7 +352,7 @@ def cmd_verify(rc: RunConfig, args) -> int:
     print(f"csfs={','.join(csfs)}")
     print(f"aurc_max_dev={_sci(aurc_dev)}")
     print(f"auroc_max_dev={_sci(auroc_dev)}")
-    return 0
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,7 +418,9 @@ def main(argv=None) -> int:
         return 2
     try:
         rc = build_run_config(args)
-        return args.func(rc, args)
+        for path in args.func(rc, args):  # each command returns the artifacts it wrote, in order
+            print(f"wrote {path}")
+        return 0
     except InvalidParameter as exc:  # a flag or config value out of range: fix the input and rerun
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,8 @@ def fmt_float(v: float) -> str:
 
 
 def _round_tree(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, float):
         return float(fmt_float(obj))
     if isinstance(obj, dict):
@@ -60,25 +62,28 @@ def report_json_obj(report: MetricReport) -> dict:
     return {"studies": studies}
 
 
-def report_csv_text(report: MetricReport) -> str:
-    """Long-format table, RFC 4180 quoted: a name holding a comma, quote or newline stays one field."""
+def csv_text(header, rows) -> str:
+    """RFC 4180 table with "\\n" line ends, every float through fmt_float.
+
+    A field holding a comma, a quote or a newline is quoted, so it stays one field.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["study", "csf", "metric", "value", "rank"])
+    writer.writerow(header)
+    writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def report_csv_text(report: MetricReport) -> str:
+    """Long-format table, one row per study, CSF and metric."""
+    rows = []
     for (study, csf, metric) in sorted(report.values, key=lambda k: (k[0], k[2], k[1])):
         value = report.values[(study, csf, metric)]
         if metric == "aurc":
             value = value * AURC_SCALE
         rank = report.ranks.get((study, metric), {}).get(csf, "")
-        writer.writerow([study, csf, metric, fmt_float(value), rank])
-    return buf.getvalue()
-
-
-def curve_csv_text(curve: RiskCoverageCurve) -> str:
-    lines = ["coverage,risk"]
-    for cov, risk in zip(curve.coverages, curve.risks):
-        lines.append(f"{fmt_float(cov)},{fmt_float(risk)}")
-    return "\n".join(lines) + "\n"
+        rows.append([study, csf, metric, value, rank])
+    return csv_text(["study", "csf", "metric", "value", "rank"], rows)
 
 
 def safe_name(name: str) -> str:

@@ -63,6 +63,10 @@ class SoftmaxConfig:
             raise InvalidParameter(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if not 0 < self.temperature < np.inf:  # an infinite one makes every softmax row uniform
             raise InvalidParameter(f"temperature must be finite and positive, got {self.temperature}")
+        with np.errstate(over="ignore"):  # softmax divides by the temperature cast to the precision
+            cast = _DTYPES[self.precision](self.temperature)
+        if not 0 < cast < np.inf:
+            raise InvalidParameter(f"temperature {self.temperature} rounds to {cast} at precision {self.precision}")
 
 
 @dataclass
@@ -88,9 +92,9 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     cfg = cfg or SoftmaxConfig()
     dtype = _DTYPES[cfg.precision]
     # a logit beyond the precision's range casts to inf, as does one divided by a tiny
-    # temperature (at f16 it can cast to 0), and inf - inf gives a NaN probability;
-    # callers report its row, so numpy need not warn about it first
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # temperature, and inf - inf gives a NaN probability; callers report its row, so
+    # numpy need not warn about it first (SoftmaxConfig keeps the cast temperature nonzero)
+    with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
         if dtype is np.float16:
             # half exp is not correctly rounded, so it runs in f64; accumulate rounds
@@ -299,7 +303,9 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         else:
             logits = bundle.mcd_logits if csf_id.startswith("mcd-") else bundle.logits
             scores = _nan_free(formulas[csf_id](), csf_id, logits, cfg)
-            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=cfg.precision)
+            # mls and mcd-mls are maxima of the f64 logits; no softmax, so no reduced precision
+            precision = F64 if csf_id in (MLS, MCD_MLS) else cfg.precision
+            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=precision)
     return out
 
 

@@ -121,6 +121,30 @@ def test_calibrate_command(toy_bundle_dir, tmp_path):
     assert 0.0 <= payload["ece"] <= 1.0
 
 
+# each command's arguments and the files it writes, in the order of its "wrote" lines; verify writes none
+WRITTEN = {
+    "score": (["score", "--csf", "msr"], ["scores_msr.json"]),
+    "evaluate": (["evaluate", "--emit", "json,csv,svg"],
+                 ["report.json", "report.csv", "rc_standard_msr.svg", "rc_standard_pe.svg"]),
+    "rc-curve": (["rc-curve"], ["rc_curve.csv", "rc_curve.json"]),
+    "sgr": (["sgr", "--rstar", "0.5", "--delta", "0.2"], ["sgr.json"]),
+    "calibrate": (["calibrate"], ["calibration.json"]),
+    "precision-audit": (["precision-audit"], ["precision_audit.json", "precision_audit.csv"]),
+    "verify": (["verify"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN))
+def test_wrote_lines_name_the_files_written(command, toy_bundle_dir, tmp_path, capsys):
+    argv, names = WRITTEN[command]
+    bundle_dir = make_big_bundle(tmp_path) if command == "sgr" else toy_bundle_dir  # sgr needs 10 rows
+    out = tmp_path / "o"
+    assert run(argv + ["--bundle", bundle_dir, "--out", out]) == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out / name}" for name in names]
+    assert sorted(p.name for p in out.rglob("*")) == sorted(names)
+
+
 @pytest.mark.parametrize("precision", ["f16", "f32", "f64"])
 def test_verify_reports_zero_deviation(precision, toy_bundle_dir, tmp_path, capsys):
     assert run(["verify", "--bundle", toy_bundle_dir, "--precision", precision]) == 0
@@ -289,6 +313,11 @@ BROKEN_INPUTS = {
     "temperature-overflows-logits": ("argv", ["score", "--csf", "msr", "--temperature", "1e-320"], 2),
     "temperature-casts-to-zero-at-f16": ("argv", ["score", "--csf", "mcd-pe", "--precision", "f16",
                                                   "--temperature", "1e-8"], 2),
+    # finite and positive, but inf once cast to the precision: every softmax row would be flat
+    "temperature-rounds-to-inf-at-f16": ("argv", ["score", "--csf", "msr", "--precision", "f16",
+                                                  "--temperature", "1e5"], 2),
+    "temperature-rounds-to-inf-at-f32": ("argv", ["score", "--csf", "msr", "--precision", "f32",
+                                                  "--temperature", "1e39"], 2),
     # an empty list asks for nothing, which is a config fault, not an empty result
     "csfs-empty": ("config", {"csfs": []}, 2),
     "metrics-empty": ("config", {"studies": [{"name": "s", "metrics": []}]}, 2),

@@ -6,6 +6,7 @@ import numpy as np
 import fdeval.reporting
 from conftest import REPO
 from fdeval import compute_csf, failure_labels, load_bundle, rc_curve
+from fdeval.cli import main
 from fdeval.core import STANDARD
 from fdeval.metrics import RiskCoverageCurve
 from fdeval.protocol import MetricReport
@@ -174,7 +175,7 @@ def test_render_rc_svg_format_calls_do_not_grow_with_points(monkeypatch):
         assert format_calls(curve) == base + ties
 
 
-def test_report_csv_names_with_delimiters_round_trip():
+def test_report_csv_names_with_delimiters_round_trip(toy_bundle_dir, tmp_path):
     names = ["a,b", 'say "hi"', "two\nlines", "plain"]
     report = MetricReport()
     for i, study in enumerate(names):
@@ -187,5 +188,17 @@ def test_report_csv_names_with_delimiters_round_trip():
     assert all(len(row) == 5 for row in rows)
     assert sorted((r[0], r[1], r[2]) for r in rows[1:]) == sorted(report.values)
     assert ["a,b", "msr", "aurc", "0", "1"] in rows
-    # the writer ends every record in "\n", as the plain join before it did
-    assert "\r" not in text and text.endswith("\n")
+
+    # the two other CSVs come from the same writer
+    assert main(["rc-curve", "--bundle", str(toy_bundle_dir), "--out", str(tmp_path)]) == 0
+    assert main(["precision-audit", "--bundle", str(toy_bundle_dir), "--out", str(tmp_path)]) == 0
+    texts = [text] + [(tmp_path / name).read_text() for name in ("rc_curve.csv", "precision_audit.csv")]
+    for text in texts:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+        again = io.StringIO()
+        csv.writer(again, lineterminator="\n").writerows(rows)
+        assert again.getvalue() == text
+        # the writer ends every record in "\n", as the plain join before it did
+        assert "\r" not in text and text.endswith("\n")
+    assert [row[0] for row in csv.reader(io.StringIO(texts[2]))] == ["precision", "f16", "f32", "f64"]

@@ -389,6 +389,8 @@ def test_confidence_vector_carries_mode():
     assert isinstance(vec, ConfidenceVector)
     assert vec.precision_mode == F16
     assert vec.csf_id == "msr"
+    # mls is the max of the f64 logits, whatever the softmax precision
+    assert compute_csf(b, "mls", SoftmaxConfig(precision=F16)).precision_mode == F64
     assert set(CSF_IDS) >= {"msr", "pe", "mls", "maha"}
 
 
@@ -451,9 +453,9 @@ def old_compute_csf(bundle, csf_id, cfg=None):
         p = old_softmax(bundle.logits, cfg)
         scores = np.max(p, axis=-1) if csf_id == "msr" else -_entropy(p)
     elif csf_id == "mls":
-        scores = np.max(bundle.logits, axis=-1)
+        return np.max(bundle.logits, axis=-1), F64
     elif csf_id == "mcd-mls":
-        scores = np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1)
+        return np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1), F64
     else:
         p = old_softmax(bundle.mcd_logits, cfg)
         mean_p = np.mean(p, axis=1)
