@@ -103,23 +103,28 @@ class FailureLabels:
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0][0])
         raise NonFiniteValue(f"{name}: non-finite value at row {row}")
 
 
 def _read_binary_matrix(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != BINARY_MAGIC:
-        raise ShapeMismatch(f"{path.name}: missing FDSB header")
-    rows, cols, _ = struct.unpack("<III", raw[4:16])
-    if (len(raw) - 16) % 8:
-        raise ShapeMismatch(f"{path.name}: payload of {len(raw) - 16} bytes is not a whole number of f64 values")
-    payload = np.frombuffer(raw, dtype="<f8", offset=16)
-    if payload.size != rows * cols:
-        raise ShapeMismatch(f"{path.name}: header promises {rows}x{cols}, payload holds {payload.size} values")
-    return payload.reshape(rows, cols).astype(np.float64)
+    # the payload is read straight into its array, once the file size agrees with the header
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != BINARY_MAGIC:
+            raise ShapeMismatch(f"{path.name}: missing FDSB header")
+        rows, cols, _ = struct.unpack("<III", header[4:])
+        size = path.stat().st_size - 16
+        if size % 8:
+            raise ShapeMismatch(f"{path.name}: payload of {size} bytes is not a whole number of f64 values")
+        if size // 8 != rows * cols:
+            raise ShapeMismatch(f"{path.name}: header promises {rows}x{cols}, payload holds {size // 8} values")
+        arr = np.empty((rows, cols), dtype="<f8")
+        if (got := fh.readinto(arr)) != size:   # the file shrank after its size was taken
+            raise ShapeMismatch(f"{path.name}: payload ended after {got} of {size} bytes")
+    return arr
 
 
 def _write_binary_matrix(path: Path, arr: np.ndarray) -> None:

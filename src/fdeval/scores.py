@@ -173,9 +173,10 @@ class MahaModel:
     ridge: float
 
 
-# f64 elements per block: rows x classes of expanded distances, or (row, class)
-# pairs x dim of refined differences; 2**20 elements keep a block at 8 MB.
-_MAHA_BLOCK = 1 << 20
+# f64 elements per block: rows x classes of maha's expanded distances, (row,
+# class) pairs x dim of its refined differences, or rows x passes x classes of
+# MC-dropout probabilities; 2**20 elements keep a block at 8 MB.
+_BLOCK = 1 << 20
 # Relative margin of the candidate pick. The expanded distance of row i to
 # class c differs from the difference form by cancellation and whitening
 # error, measured at about u * cond(L) * (|z_i|^2 + max_c |m_c|^2), u = 1.1e-16.
@@ -189,7 +190,7 @@ _MAHA_MARGIN = 1e-8
 
 
 def _rows_per_block(width: int) -> int:
-    return max(1, _MAHA_BLOCK // max(width, 1))
+    return max(1, _BLOCK // max(width, 1))
 
 
 def _whiten(rows: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
@@ -266,11 +267,19 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
     if keep_probs or not {MSR, PE}.isdisjoint(csf_ids):
         p = softmax(bundle.logits, cfg)
     if not {MCD_MSR, MCD_PE, MCD_EE, MCD_MI}.isdisjoint(csf_ids) and bundle.mcd_logits is not None:
-        p_mc = softmax(bundle.mcd_logits, cfg)       # per pass, then aggregate
-        mean_p = np.mean(p_mc, axis=1)
+        # per pass, then aggregate; every step works row by row, so a block of rows
+        # gives the same bits as the whole stack and holds one block of temporaries
+        n, t, c = bundle.mcd_logits.shape
+        mean_p = np.empty((n, c))
         if not {MCD_EE, MCD_MI}.isdisjoint(csf_ids):
-            expected_entropy = np.mean(_entropy(p_mc), axis=-1)
-        del p_mc
+            expected_entropy = np.empty(n)
+        step = _rows_per_block(t * c)
+        for lo in range(0, n, step):
+            p_mc = softmax(bundle.mcd_logits[lo:lo + step], cfg)
+            np.mean(p_mc, axis=1, out=mean_p[lo:lo + step])
+            if expected_entropy is not None:
+                np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:lo + step])
+            del p_mc
     formulas = {
         MSR: lambda: np.max(p, axis=-1),
         PE: lambda: -_entropy(p),

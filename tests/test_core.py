@@ -1,6 +1,8 @@
 import json
 import struct
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +91,49 @@ def test_binary_write_streams_the_payload(tmp_path):
     for stem, arr in files.items():
         reference = b"FDSB" + struct.pack("<III", *arr.shape, 0) + arr.astype("<f8").tobytes()
         assert (tmp_path / "b" / f"{stem}.f64").read_bytes() == reference
+
+
+def test_binary_read_holds_one_copy(tmp_path):
+    bundle = rich_bundle(seed=3, n=500, c=1000, t=2, d=8)
+    directory = write_bundle(bundle, tmp_path / "b", binary=True)
+    payload = sum(path.stat().st_size - 16 for path in directory.glob("*.f64"))
+    tracemalloc.start()
+    try:
+        back = load_bundle(directory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # read_bytes, frombuffer and astype held two copies of each file; the
+    # finiteness check adds one bool per value of the matrix it checks
+    assert peak < 1.1 * payload
+    assert np.array_equal(back.mcd_logits, bundle.mcd_logits)
+
+
+def test_binary_size_is_checked_against_the_header(tmp_path):
+    path = write_bundle(simple_bundle([[1.0, 2.0], [3.0, 4.0]], [1, 0]), tmp_path / "b", binary=True) / "logits.f64"
+    raw = path.read_bytes()
+    # 2**31 x 2 doubles would take 32 GiB: the file size refuses them before anything is allocated
+    path.write_bytes(raw[:4] + struct.pack("<III", 2**31, 2, 0) + raw[16:])
+    with pytest.raises(ShapeMismatch, match="logits.f64: header promises 2147483648x2, payload holds 4 values"):
+        load_bundle(tmp_path / "b")
+    path.write_bytes(raw + b"\0\0\0")
+    with pytest.raises(ShapeMismatch, match="logits.f64: payload of 35 bytes is not a whole number of f64 values"):
+        load_bundle(tmp_path / "b")
+
+
+def test_binary_read_refuses_a_short_payload(tmp_path, monkeypatch):
+    # the file shrinks between taking its size and reading it: 2x3 promised and stat'ed, 4 values read
+    path = write_bundle(simple_bundle([[1.0, 2.0], [3.0, 4.0]], [1, 0]), tmp_path / "b", binary=True) / "logits.f64"
+    path.write_bytes(b"FDSB" + struct.pack("<III", 2, 3, 0) + path.read_bytes()[16:])
+    real_stat = Path.stat
+
+    def stale_stat(self, **kwargs):
+        st = real_stat(self, **kwargs)
+        return SimpleNamespace(st_size=st.st_size + 16) if self == path else st
+
+    monkeypatch.setattr(Path, "stat", stale_stat)
+    with pytest.raises(ShapeMismatch, match="logits.f64: payload ended after 32 of 48 bytes"):
+        load_bundle(tmp_path / "b")
 
 
 def test_binary_bad_magic(tmp_path):

@@ -539,3 +539,46 @@ def test_compute_csfs_is_bitwise_the_old_per_csf_path(precision, order):
         assert got[csf].scores.tobytes() == want.tobytes(), csf
         assert compute_csf(b, csf, cfg).scores.tobytes() == want.tobytes(), csf
 
+
+MC_SOFTMAX_CSFS = ["mcd-msr", "mcd-pe", "mcd-ee", "mcd-mi"]
+
+
+def ten_row_mc_bundle(seed=47, c=6, t=4):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 6.0, (10, c))
+    mcd = logits[:, None, :] + rng.normal(0.0, 2.0, (10, t, c))
+    return simple_bundle(logits, np.arange(10) % c, mcd_logits=mcd)
+
+
+def three_row_blocks(monkeypatch) -> list[int]:
+    """Blocks of 3 rows, which do not divide 10; returns the rows of each MC softmax call as they happen."""
+    rows, real = [], fdeval.scores.softmax
+    monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width: 3)
+    monkeypatch.setattr(fdeval.scores, "softmax", lambda x, cfg: rows.append(x.shape[0]) or real(x, cfg))
+    return rows
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_blocked_mc_pass_is_bitwise_the_whole_stack(precision, monkeypatch):
+    b = ten_row_mc_bundle()
+    cfg = SoftmaxConfig(precision=precision, temperature=1.5)
+    rows = three_row_blocks(monkeypatch)
+    got = compute_csfs(b, MC_SOFTMAX_CSFS, cfg)
+    assert rows == [3, 3, 3, 1]
+    for csf in MC_SOFTMAX_CSFS:
+        want, _ = old_compute_csf(b, csf, cfg)   # one softmax over the whole stack
+        assert got[csf].scores.tobytes() == want.tobytes(), csf
+
+
+@pytest.mark.parametrize("precision, temperature, logit, error, message", [
+    (F16, 1.0, 1e5, NonFiniteValue, "mcd-msr: NaN score at row 7"),    # inf after the cast to half
+    (F64, 1e-300, 1e9, InvalidParameter, "overflows the f64 logits of row 7"),
+])
+def test_blocked_mc_pass_names_the_global_row(precision, temperature, logit, error, message, monkeypatch):
+    b = ten_row_mc_bundle()
+    b.mcd_logits[7, 2, 1] = logit   # row 1 of the third block
+    rows = three_row_blocks(monkeypatch)
+    with pytest.raises(error, match=message):
+        compute_csfs(b, MC_SOFTMAX_CSFS, SoftmaxConfig(precision=precision, temperature=temperature))
+    assert rows == [3, 3, 3, 1]
+
