@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fdeval import audit, synthesize_highconf_bundle
+from fdeval import audit, failure_labels, synthesize_highconf_bundle
 from fdeval.reporting import AURC_SCALE
 
 
@@ -36,7 +36,7 @@ def main():
     args = ap.parse_args()
 
     seed = int(os.environ.get("FDSHIFT_SEED", "7"))
-    bundle, residuals = synthesize_highconf_bundle(
+    bundle = synthesize_highconf_bundle(
         n=args.n,
         c=args.c,
         failure_rate=args.failure_rate,
@@ -46,10 +46,10 @@ def main():
     )
     print(
         f"bundle: n={args.n} c={args.c} gaps=[{args.gap_low:g}, {args.gap_high:g}] "
-        f"failures={int(residuals.sum())} seed={seed}"
+        f"failures={int(failure_labels(bundle).residuals.sum())} seed={seed}"
     )
     for t in args.temperatures:
-        show(audit(bundle, residuals, temperature=t), t)
+        show(audit(bundle, temperature=t), t)
 
 
 if __name__ == "__main__":

@@ -248,7 +248,7 @@ def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
     on_curve = write_svg if "svg" in rc.emit else None
     report = MetricReport()
     for spec in studies:
-        report.merge(run_study(bundle, spec, scores, rc.softmax, ece_bins=rc.ece_bins, on_curve=on_curve))
+        report.merge(run_study(bundle, spec, scores, ece_bins=rc.ece_bins, on_curve=on_curve))
     rank_table(report)
 
     written = []
@@ -300,7 +300,7 @@ def cmd_calibrate(rc: RunConfig, args) -> list[Path]:
 def cmd_precision_audit(rc: RunConfig, args) -> list[Path]:
     if args.synthetic:
         seed = _env_seed()
-        bundle, residuals = synthesize_highconf_bundle(
+        bundle = synthesize_highconf_bundle(
             n=args.n,
             c=args.c,
             failure_rate=args.failure_rate,
@@ -312,15 +312,8 @@ def cmd_precision_audit(rc: RunConfig, args) -> list[Path]:
                   "gap_low": args.gap_low, "gap_high": args.gap_high, "seed": seed}
     else:
         bundle = _require_bundle(rc)
-        residuals = failure_labels(bundle, STANDARD).residuals
         source = {"source": "bundle"}
-    report = audit(
-        bundle,
-        residuals,
-        PRECISIONS,
-        temperature=rc.softmax.temperature,
-        quantize_storage=not args.compute_only,
-    )
+    report = audit(bundle, temperature=rc.softmax.temperature, quantize_storage=not args.compute_only)
     obj = {
         **asdict(report),
         "aurc": {p: v * AURC_SCALE for p, v in report.aurc.items()},
@@ -342,7 +335,7 @@ def cmd_verify(rc: RunConfig, args) -> list[Path]:
     # the values evaluate writes for an all-rows standard study, checked against the oracles
     scores = compute_csfs(bundle, csfs, rc.softmax)
     spec = StudySpec(name="verify", kind=STANDARD, metrics=("aurc", "auroc-f"))
-    values = run_study(bundle, spec, scores, rc.softmax).values
+    values = run_study(bundle, spec, scores).values
     aurc_dev = auroc_dev = 0.0
     for csf, vec in scores.items():
         ref = aurc_oracle(vec.scores, fl.residuals, fl.eval_mask)

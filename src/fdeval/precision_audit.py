@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PredictionBundle, ShiftTag, validate_bundle
+from .core import PredictionBundle, ShiftTag, failure_labels, validate_bundle
 from .errors import EmptyEvaluationSet, InvalidParameter
 # rc_curve and auroc_f are not called here (audit reads both off one _Sweep);
 # fdbench/tracing.py binds fdeval.precision_audit.rc_curve and .auroc_f by name
 from .metrics import _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
-from .scores import F64, PRECISIONS, SoftmaxConfig, _nan_free, quantize, softmax
+from .scores import PRECISIONS, SoftmaxConfig, _nan_free, quantize, softmax
 
 # A runner-up class is kept within this many nats of the top logit so that an
 # f64 softmax always sees tail mass above the half-ulp at 1.0 (e^-35 ~ 6.3e-16
@@ -48,29 +48,20 @@ def round_to_one_count(logits: np.ndarray, precision: str, temperature: float = 
     return int(np.sum(_rounds_to_one(np.max(p, axis=-1), logits)))
 
 
-def audit(
-    bundle: PredictionBundle,
-    residuals: np.ndarray,
-    precisions=PRECISIONS,
-    temperature: float = 1.0,
-    quantize_storage: bool = True,
-) -> PrecisionAuditReport:
-    """Evaluate max-softmax ranking at each precision against fixed residuals.
+def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: bool = True) -> PrecisionAuditReport:
+    """Evaluate max-softmax ranking at each precision in PRECISIONS.
 
-    quantize_storage=True reproduces the stored-at-low-precision scenario
-    (logits rounded before any arithmetic); False keeps f64 storage and only
-    reduces the softmax arithmetic.
+    The failures are fixed across precisions: the residuals of the bundle's
+    f64 predictions, as failure_labels gives them. quantize_storage=True
+    reproduces the stored-at-low-precision scenario (logits rounded before any
+    arithmetic); False keeps f64 storage and only reduces the softmax
+    arithmetic.
     """
-    for p in precisions:
-        if p not in PRECISIONS:
-            raise InvalidParameter(f"unknown precision {p!r}")
-    res = np.asarray(residuals).astype(np.int64).reshape(-1)
-    if res.shape[0] != bundle.n_samples:
-        raise InvalidParameter(f"residuals {res.shape} do not match bundle ({bundle.n_samples},)")
-    if res.shape[0] == 0:
+    if bundle.n_samples == 0:
         raise EmptyEvaluationSet("no samples to audit")
-    report = PrecisionAuditReport(precisions=list(precisions))
-    for p in precisions:
+    res = failure_labels(bundle).residuals.astype(np.int64)
+    report = PrecisionAuditReport(precisions=list(PRECISIONS))
+    for p in PRECISIONS:
         logits = quantize(bundle.logits, p) if quantize_storage else bundle.logits
         cfg = SoftmaxConfig(precision=p, temperature=temperature)
         # a logit beyond f16's range stores as inf, and its row's msr is NaN
@@ -90,13 +81,14 @@ def synthesize_highconf_bundle(
     gap_low: float,
     gap_high: float,
     seed: int,
-) -> tuple[PredictionBundle, np.ndarray]:
+) -> PredictionBundle:
     """Seeded bundle of high-gap logit rows for precision experiments.
 
     Each row puts its top class gap nats above the rest; correct samples draw
     larger gaps than failures on average, so full-precision max-softmax ranks
-    failures well and collapsed low-precision ranking does not. Returns the
-    bundle plus its residual vector.
+    failures well and collapsed low-precision ranking does not. A failure is
+    labelled with the runner-up class, so failure_labels gives back the drawn
+    failures.
     """
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
@@ -131,4 +123,4 @@ def synthesize_highconf_bundle(
         labels=labels,
         shift_tags=np.full(n, ShiftTag.IID.value, dtype="U24"),
     )
-    return validate_bundle(bundle), residuals
+    return validate_bundle(bundle)

@@ -27,7 +27,7 @@ from .errors import EmptyEvaluationSet, FdevalError, InvalidParameter
 from . import metrics as M
 from .risk_control import ece, platt_apply, platt_fit
 # compute_csf is not called here; fdbench/tracing.py binds fdeval.protocol.compute_csf by name
-from .scores import CsfScores, SoftmaxConfig, compute_csf, softmax  # noqa: F401
+from .scores import CsfScores, compute_csf, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
 KNOWN_METRICS = (
@@ -96,7 +96,6 @@ def run_study(
     bundle: PredictionBundle,
     spec: StudySpec,
     scores: CsfScores,
-    cfg: SoftmaxConfig | None = None,
     ece_bins: int = 15,
     on_curve=None,
 ) -> MetricReport:
@@ -104,9 +103,10 @@ def run_study(
 
     scores maps each CSF to its confidences over all bundle rows, as
     compute_csfs returns them; the study keeps the rows its shift filter
-    selects, also of the logits softmax that scores.probs holds; cfg sets the
-    precision of nll and brier only when it holds none. Every ranking metric
-    of a CSF is read off one sort of its confidences.
+    selects, also of the logits softmax that scores.probs holds; when it holds
+    none, nll and brier softmax the study's rows at scores.cfg, the
+    configuration the scores were computed at. Every ranking metric of a CSF
+    is read off one sort of its confidences.
     on_curve(study name, csf, curve), when given, receives each CSF's curve.
     """
     keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
@@ -133,7 +133,7 @@ def run_study(
         if not {"nll", "brier"}.isdisjoint(spec.metrics):
             # softmax is rowwise, so the run's softmax of the study's inlier rows is their own softmax
             rows = np.flatnonzero(keep)[inlier]
-            probs = softmax(bundle.logits[rows], cfg) if scores.probs is None else scores.probs[rows]
+            probs = softmax(bundle.logits[rows], scores.cfg) if scores.probs is None else scores.probs[rows]
             for metric, fn in (("nll", M.nll), ("brier", M.brier)):
                 if metric in spec.metrics:
                     classifier[metric] = fn(probs, bundle.labels[rows])

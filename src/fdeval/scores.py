@@ -95,16 +95,19 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     # temperature, and inf - inf gives a NaN probability; callers report its row, so
     # numpy need not warn about it first (SoftmaxConfig keeps the cast temperature nonzero)
     with np.errstate(over="ignore", invalid="ignore"):
+        # the division makes x a new array, so the steps below work on it in place
         x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
+        x -= np.max(x, axis=-1, keepdims=True)
         if dtype is np.float16:
             # half exp is not correctly rounded, so it runs in f64; accumulate rounds
             # each partial sum to half, left to right, where np.sum would carry f32
-            e = np.exp((x - np.max(x, axis=-1, keepdims=True)).astype(np.float64)).astype(np.float16)
-            total = np.add.accumulate(e, axis=-1)[..., -1:]
+            x[...] = np.exp(x, dtype=np.float64)
+            total = np.add.accumulate(x, axis=-1)[..., -1:]
         else:
-            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-            total = np.sum(e, axis=-1, keepdims=True)
-        return (e / total).astype(np.float64, copy=False)
+            np.exp(x, out=x)
+            total = np.sum(x, axis=-1, keepdims=True)
+        x /= total
+        return x.astype(np.float64, copy=False)
 
 
 def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxConfig) -> np.ndarray:
@@ -126,8 +129,11 @@ def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxCon
 
 def _entropy(p: np.ndarray) -> np.ndarray:
     """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0."""
-    # p * ln(1) is already +0.0 where p == 0
-    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
+    # p * ln(1) is already +0.0 where p == 0; one temporary of p's size
+    plogp = np.where(p > 0, p, 1.0)
+    np.log(plogp, out=plogp)
+    plogp *= p
+    return -np.sum(plogp, axis=-1)
 
 
 def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge: float | None = None):
@@ -250,8 +256,9 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
 
 
 class CsfScores(dict):
-    """CSF id -> ConfidenceVector over all bundle rows; probs is the logits softmax, if kept."""
+    """CSF id -> ConfidenceVector over all bundle rows, scored at cfg; probs is the logits softmax, if kept."""
 
+    cfg: SoftmaxConfig = SoftmaxConfig()
     probs: np.ndarray | None = None
 
 
@@ -259,11 +266,12 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
     One logits softmax feeds msr and pe, and the result holds it as probs when keep_probs asks for it
-    (for nll and brier); one MC-dropout softmax, its mean over passes and its expected entropy feed
-    mcd-msr, mcd-pe, mcd-ee and mcd-mi. maha is fitted once, on the inlier-labeled rows.
+    (for nll and brier); one MC-dropout softmax, its mean over passes and the entropies of both feed
+    mcd-msr, mcd-pe, mcd-ee and mcd-mi. maha is fitted once, on the inlier-labeled rows. The result
+    records cfg, the softmax configuration it was scored at.
     """
     cfg = cfg or SoftmaxConfig()
-    p = mean_p = expected_entropy = None
+    p = mean_p = expected_entropy = predictive_entropy = None
     if keep_probs or not {MSR, PE}.isdisjoint(csf_ids):
         p = softmax(bundle.logits, cfg)
     if not {MCD_MSR, MCD_PE, MCD_EE, MCD_MI}.isdisjoint(csf_ids) and bundle.mcd_logits is not None:
@@ -273,6 +281,8 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         mean_p = np.empty((n, c))
         if not {MCD_EE, MCD_MI}.isdisjoint(csf_ids):
             expected_entropy = np.empty(n)
+        if not {MCD_PE, MCD_MI}.isdisjoint(csf_ids):
+            predictive_entropy = np.empty(n)
         step = _rows_per_block(t * c)
         for lo in range(0, n, step):
             p_mc = softmax(bundle.mcd_logits[lo:lo + step], cfg)
@@ -280,18 +290,21 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
             if expected_entropy is not None:
                 np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:lo + step])
             del p_mc
+            if predictive_entropy is not None:
+                predictive_entropy[lo:lo + step] = _entropy(mean_p[lo:lo + step])
     formulas = {
         MSR: lambda: np.max(p, axis=-1),
         PE: lambda: -_entropy(p),
         MLS: lambda: np.max(bundle.logits, axis=-1),
         MCD_MSR: lambda: np.max(mean_p, axis=-1),
-        MCD_PE: lambda: -_entropy(mean_p),
+        MCD_PE: lambda: -predictive_entropy,
         MCD_EE: lambda: -expected_entropy,
-        MCD_MI: lambda: -(_entropy(mean_p) - expected_entropy),  # predictive minus expected entropy, negated
+        MCD_MI: lambda: -(predictive_entropy - expected_entropy),  # predictive minus expected entropy, negated
         MCD_MLS: lambda: np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1),
     }
 
     out = CsfScores()
+    out.cfg = cfg
     out.probs = p if keep_probs else None   # held for the whole run, so only when a study reads it
     for csf_id in csf_ids:
         if csf_id.startswith(EXTERNAL_PREFIX):

@@ -154,15 +154,15 @@ def test_c5_sgr_risk_guarantee():
 def test_c6_precision_collapse_detected():
     with criterion(6, "precision-collapse-detected"):
         seed = int(os.environ.get("FDSHIFT_SEED", "7"))
-        bundle, res = synthesize_highconf_bundle(
+        bundle = synthesize_highconf_bundle(
             n=10_000, c=10, failure_rate=0.3, gap_low=20.0, gap_high=40.0, seed=seed
         )
-        report = audit(bundle, res)
+        report = audit(bundle)
         assert report.round_to_one_rate["f32"] >= 0.5
         assert report.round_to_one_rate["f64"] == 0.0
         gap = report.auroc_f["f64"] - report.auroc_f["f32"]
         assert gap >= AUROC_GAP_MIN, f"AUROC gap {gap:.4f}"
-        cooled = audit(bundle, res, temperature=4.0)
+        cooled = audit(bundle, temperature=4.0)
         assert cooled.round_to_one_rate["f32"] == 0.0
 
 

@@ -41,29 +41,33 @@ def test_uninformative_rows_never_count():
 
 
 def test_synthesize_is_deterministic_and_consistent():
-    b1, r1 = synthesize_highconf_bundle(n=500, c=6, failure_rate=0.3, gap_low=20, gap_high=40, seed=3)
-    b2, r2 = synthesize_highconf_bundle(n=500, c=6, failure_rate=0.3, gap_low=20, gap_high=40, seed=3)
+    b1 = synthesize_highconf_bundle(n=500, c=6, failure_rate=0.3, gap_low=20, gap_high=40, seed=3)
+    b2 = synthesize_highconf_bundle(n=500, c=6, failure_rate=0.3, gap_low=20, gap_high=40, seed=3)
     assert np.array_equal(b1.logits, b2.logits)
     assert np.array_equal(b1.labels, b2.labels)
-    assert np.array_equal(r1, r2)
-    b3, _ = synthesize_highconf_bundle(n=500, c=6, failure_rate=0.3, gap_low=20, gap_high=40, seed=4)
+    b3 = synthesize_highconf_bundle(n=500, c=6, failure_rate=0.3, gap_low=20, gap_high=40, seed=4)
     assert not np.array_equal(b1.logits, b3.logits)
-    # declared residuals must match what the classifier actually does
+    # the top logit is the unique maximum, and a failure carries the runner-up's label
+    top = np.argmax(b1.logits, axis=1)
+    assert (np.sum(b1.logits == b1.logits[np.arange(500), top][:, None], axis=1) == 1).all()
     fl = failure_labels(b1)
-    assert np.array_equal(fl.residuals, r1.astype(fl.residuals.dtype))
+    assert np.array_equal(fl.residuals == 1, b1.labels == (top + 1) % 6)
 
 
 def test_synthesize_failure_count_tracks_rate():
     n, rate = 20000, 0.3
-    _, res = synthesize_highconf_bundle(n=n, c=10, failure_rate=rate, gap_low=20, gap_high=40, seed=9)
+    res = failure_labels(synthesize_highconf_bundle(n=n, c=10, failure_rate=rate, gap_low=20, gap_high=40,
+                                                    seed=9)).residuals
     sigma = (n * rate * (1 - rate)) ** 0.5
     assert abs(int(res.sum()) - n * rate) < 4 * sigma
 
 
 def test_synthesize_zero_gap_rows_stay_consistent():
-    b, res = synthesize_highconf_bundle(n=200, c=4, failure_rate=0.4, gap_low=0, gap_high=0, seed=1)
-    assert np.array_equal(failure_labels(b).residuals, res.astype(np.int8))
-    report = audit(b, res)
+    b = synthesize_highconf_bundle(n=200, c=4, failure_rate=0.4, gap_low=0, gap_high=0, seed=1)
+    # tied rows predict class 0: a success is labelled 0 and a failure 1
+    res = failure_labels(b).residuals
+    assert np.array_equal(res, b.labels) and 0 < res.sum() < 200
+    report = audit(b)
     for p in (F16, F32, F64):
         assert report.round_to_one_rate[p] == 0.0  # fully tied rows are uninformative
 
@@ -80,8 +84,8 @@ def test_synthesize_parameter_guards():
 
 
 def test_audit_rate_ordering_and_ranking_damage():
-    b, res = synthesize_highconf_bundle(n=2000, c=10, failure_rate=0.3, gap_low=20, gap_high=40, seed=7)
-    report = audit(b, res)
+    b = synthesize_highconf_bundle(n=2000, c=10, failure_rate=0.3, gap_low=20, gap_high=40, seed=7)
+    report = audit(b)
     r16, r32, r64 = (report.round_to_one_rate[p] for p in (F16, F32, F64))
     assert r16 >= r32 >= r64
     assert r64 == 0.0
@@ -94,8 +98,8 @@ def test_audit_rate_ordering_and_ranking_damage():
 
 
 def test_audit_temperature_mitigation():
-    b, res = synthesize_highconf_bundle(n=2000, c=10, failure_rate=0.3, gap_low=20, gap_high=40, seed=7)
-    hot = audit(b, res, temperature=4.0)
+    b = synthesize_highconf_bundle(n=2000, c=10, failure_rate=0.3, gap_low=20, gap_high=40, seed=7)
+    hot = audit(b, temperature=4.0)
     assert hot.round_to_one_rate[F32] == 0.0
     assert hot.auroc_f[F32] > 0.7
 
@@ -103,8 +107,8 @@ def test_audit_temperature_mitigation():
 def test_audit_f64_immune_even_for_huge_stored_gaps():
     # the generator caps the runner-up 35 nats below the top logit, so the
     # f64 softmax keeps tail mass no matter how large the top gap gets
-    b, res = synthesize_highconf_bundle(n=500, c=5, failure_rate=0.3, gap_low=500, gap_high=600, seed=2)
-    report = audit(b, res)
+    b = synthesize_highconf_bundle(n=500, c=5, failure_rate=0.3, gap_low=500, gap_high=600, seed=2)
+    report = audit(b)
     assert report.round_to_one_rate[F64] == 0.0
     assert report.round_to_one_rate[F32] == 1.0
 
@@ -113,33 +117,28 @@ def test_audit_quantize_storage_affects_argmax():
     logits = np.array([[5.0, 5.0 + 1e-9, 0.0]] * 2 + [[0.0, 1.0, 2.0]] * 2)
     labels = np.array([1, 1, 0, 0])
     b = simple_bundle(logits, labels)
-    res = failure_labels(b).residuals
-    assert res.tolist() == [0, 0, 1, 1]
-    stored = audit(b, res, precisions=(F16,), quantize_storage=True)
-    kept = audit(b, res, precisions=(F16,), quantize_storage=False)
+    assert failure_labels(b).residuals.tolist() == [0, 0, 1, 1]
+    stored = audit(b, quantize_storage=True)
+    kept = audit(b, quantize_storage=False)
     # half rounding merges the near-tie, flipping argmax to the lower index
     assert stored.accuracy[F16] == 0.0
     assert kept.accuracy[F16] == 0.5
 
 
 def test_audit_input_guards():
-    b, res = synthesize_highconf_bundle(n=50, c=3, failure_rate=0.3, gap_low=1, gap_high=2, seed=0)
-    with pytest.raises(InvalidParameter):
-        audit(b, res[:10])
-    with pytest.raises(InvalidParameter):
-        audit(b, res, precisions=("f8",))
     empty = PredictionBundle(logits=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64),
                              shift_tags=np.zeros(0, dtype="U24"))
     with pytest.raises(EmptyEvaluationSet):
-        audit(empty, np.zeros(0))
+        audit(empty)
 
 
 def test_audit_sorts_once_per_precision(monkeypatch):
-    b, res = synthesize_highconf_bundle(n=300, c=5, failure_rate=0.3, gap_low=1, gap_high=40, seed=3)
+    b = synthesize_highconf_bundle(n=300, c=5, failure_rate=0.3, gap_low=1, gap_high=40, seed=3)
+    res = failure_labels(b).residuals
     sorts = []
     real_argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or real_argsort(*args, **kwargs))
-    report = audit(b, res)
+    report = audit(b)
     monkeypatch.undo()
     assert len(sorts) == len(PRECISIONS)
     # the one sweep gives what the public metrics give

@@ -233,8 +233,8 @@ def test_precision_config_threads_through():
     b = simple_bundle([[20.0, 0.0], [18.0, 0.0], [0.5, 0.0], [0.3, 0.0]], [0, 1, 0, 1])
     spec = StudySpec(name="std", metrics=("aurc",))
     f64, f16 = SoftmaxConfig(precision="f64"), SoftmaxConfig(precision="f16")
-    r64 = run_study(b, spec, compute_csfs(b, ["msr"], f64), f64)
-    r16 = run_study(b, spec, compute_csfs(b, ["msr"], f16), f16)
+    r64 = run_study(b, spec, compute_csfs(b, ["msr"], f64))
+    r16 = run_study(b, spec, compute_csfs(b, ["msr"], f16))
     v64 = r64.values[("std", "msr", "aurc")]
     v16 = r16.values[("std", "msr", "aurc")]
     fl = failure_labels(b, STANDARD)
@@ -269,10 +269,12 @@ def test_a_row_has_one_maha_score_in_every_study():
 
 @pytest.mark.parametrize("precision", ["f16", "f32", "f64"])
 def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
-    # the rows a study keeps of the run's logits softmax are a softmax of those rows
+    # the rows a study keeps of the run's logits softmax are a softmax of those rows; without
+    # the kept softmax, run_study softmaxes them at the configuration the scores were computed
+    # at, here no default in either field
     workloads = load_fdbench_module("workloads")
     b = workloads.generate(workloads.Shape(n=400, c=6), 13)   # IID, COVARIATE and new-class rows
-    cfg = SoftmaxConfig(precision=precision)
+    cfg = SoftmaxConfig(precision=precision, temperature=1.7)
     metrics = ("nll", "brier")
     studies = [
         StudySpec(name="all", metrics=metrics),
@@ -282,6 +284,7 @@ def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
     shared = compute_csfs(b, ["mls"], cfg, keep_probs=True)
     assert shared.probs.tobytes() == softmax(b.logits, cfg).tobytes()
     assert compute_csfs(b, ["msr"], cfg).probs is None   # held for the run only when asked for
+    assert shared.cfg == cfg
     for spec in studies:
         sub = b.select(np.isin(b.shift_tags, spec.shift_filter))
         inlier = sub.labels < sub.n_classes
@@ -289,5 +292,5 @@ def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
         own = softmax(sub.logits, cfg)[inlier]
         want = {"nll": nll(own, sub.labels[inlier]), "brier": brier(own, sub.labels[inlier])}
         for scores in (shared, compute_csfs(b, ["mls"], cfg)):
-            values = run_study(b, spec, scores, cfg).values
+            values = run_study(b, spec, scores).values
             assert {m: values[(spec.name, "mls", m)] for m in metrics} == want, spec.name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -140,6 +142,39 @@ def two_where_entropy(p):
     """_entropy as it was: the product masked to 0.0 a second time where p == 0."""
     safe = np.where(p > 0, p, 1.0)
     return -np.sum(np.where(p > 0, p * np.log(safe), 0.0), axis=-1)
+
+
+def one_line_entropy(p):
+    """_entropy as it was: one expression, holding the np.where and the product at once."""
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
+
+
+def peak_bytes(fn, *args):
+    """Peak traced allocation while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_entropy_is_bitwise_the_one_line_form(dtype):
+    rng = np.random.default_rng(17)
+    with np.errstate(under="ignore"):
+        p = softmax(rng.normal(0.0, 300.0, size=(300, 5, 40))).astype(dtype)   # many exact zeros
+    assert (p == 0).any()
+    for q in (p, p[:, 0], p[:1, :1]):
+        got, want = _entropy(q), one_line_entropy(q)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q.shape
+
+
+def test_entropy_holds_one_temporary():
+    p = softmax(np.random.default_rng(19).normal(0.0, 3.0, (2000, 500)))
+    # the np.where result, logged and multiplied in place, and its p > 0 mask; two
+    # full temporaries (2.0x) when the product was a new array
+    assert peak_bytes(_entropy, p) < 1.3 * p.nbytes
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -432,6 +467,21 @@ def old_softmax(logits, cfg=None):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def one_body_softmax(logits, cfg=None):
+    """softmax as it was before it worked in place: one body for all three precisions."""
+    cfg = cfg or SoftmaxConfig()
+    dtype = {F16: np.float16, F32: np.float32, F64: np.float64}[cfg.precision]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
+        if dtype is np.float16:
+            e = np.exp((x - np.max(x, axis=-1, keepdims=True)).astype(np.float64)).astype(np.float16)
+            total = np.add.accumulate(e, axis=-1)[..., -1:]
+        else:
+            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            total = np.sum(e, axis=-1, keepdims=True)
+        return (e / total).astype(np.float64, copy=False)
+
+
 def old_quantize(arr, precision):
     arr = np.asarray(arr, dtype=np.float64)
     if precision == F64:
@@ -451,7 +501,7 @@ def old_compute_csf(bundle, csf_id, cfg=None):
         return score_mahalanobis(model, bundle.features).scores, F64
     if csf_id in ("msr", "pe"):
         p = old_softmax(bundle.logits, cfg)
-        scores = np.max(p, axis=-1) if csf_id == "msr" else -_entropy(p)
+        scores = np.max(p, axis=-1) if csf_id == "msr" else -one_line_entropy(p)
     elif csf_id == "mls":
         return np.max(bundle.logits, axis=-1), F64
     elif csf_id == "mcd-mls":
@@ -462,11 +512,11 @@ def old_compute_csf(bundle, csf_id, cfg=None):
         if csf_id == "mcd-msr":
             scores = np.max(mean_p, axis=-1)
         elif csf_id == "mcd-pe":
-            scores = -_entropy(mean_p)
+            scores = -one_line_entropy(mean_p)
         elif csf_id == "mcd-ee":
-            scores = -np.mean(_entropy(p), axis=-1)
+            scores = -np.mean(one_line_entropy(p), axis=-1)
         else:
-            scores = -(_entropy(mean_p) - np.mean(_entropy(p), axis=-1))
+            scores = -(one_line_entropy(mean_p) - np.mean(one_line_entropy(p), axis=-1))
     return np.asarray(scores, dtype=np.float64), cfg.precision
 
 
@@ -507,10 +557,23 @@ def test_softmax_and_quantize_match_the_per_precision_branches(precision, temper
             got = softmax(x, cfg)
             assert got.shape == x.shape and got.dtype == np.float64
             assert got.tobytes() == old_softmax(x, cfg).tobytes(), x.shape
+            assert got.tobytes() == one_body_softmax(x, cfg).tobytes(), x.shape
             assert quantize(x, precision).tobytes() == old_quantize(x, precision).tobytes()
             overflowed |= bool(np.isnan(got).any())
     # the inf and NaN paths ran too, wherever a finite logit can overflow
     assert overflowed or (precision == F64 and temperature >= 1.0)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_softmax_works_in_place(precision):
+    logits = np.random.default_rng(23).normal(0.0, 5.0, (2000, 500))
+    cfg = SoftmaxConfig(precision=precision, temperature=1.7)
+    result = logits.nbytes   # an f64 array of the logits' shape
+    # f64 holds the result alone (1.0x); f32 adds its f32 array and f16 its half array and
+    # the half accumulate (1.5x each); 2.25x to 3.0x when the subtract, exp and divide
+    # each made a new array
+    assert peak_bytes(softmax, logits, cfg) < 1.6 * result
+    assert softmax(logits, cfg).tobytes() == one_body_softmax(logits, cfg).tobytes()
 
 
 ORDERS = [
@@ -582,3 +645,21 @@ def test_blocked_mc_pass_names_the_global_row(precision, temperature, logit, err
         compute_csfs(b, MC_SOFTMAX_CSFS, SoftmaxConfig(precision=precision, temperature=temperature))
     assert rows == [3, 3, 3, 1]
 
+
+
+@pytest.mark.parametrize("csfs, per_block", [
+    (["mcd-msr"], []),
+    (["mcd-ee"], ["passes"]),
+    (["mcd-pe"], ["mean"]),
+    (["mcd-mi"], ["passes", "mean"]),
+    (MC_SOFTMAX_CSFS, ["passes", "mean"]),
+])
+def test_mc_entropies_are_taken_once_per_block(csfs, per_block, monkeypatch):
+    b = ten_row_mc_bundle()   # 4 passes, 6 classes
+    three_row_blocks(monkeypatch)
+    shapes, real = [], fdeval.scores._entropy
+    monkeypatch.setattr(fdeval.scores, "_entropy", lambda p: shapes.append(p.shape) or real(p))
+    compute_csfs(b, csfs)
+    # one entropy of each block's passes and one of its mean, however many CSFs read them
+    form = {"passes": lambda rows: (rows, 4, 6), "mean": lambda rows: (rows, 6)}
+    assert shapes == [form[kind](rows) for rows in (3, 3, 3, 1) for kind in per_block]
