@@ -322,7 +322,8 @@ def predictions(bundle: PredictionBundle) -> np.ndarray:
     return np.argmax(bundle.logits, axis=1)
 
 
-def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD) -> FailureLabels:
+def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
+                   rows: np.ndarray | None = None) -> FailureLabels:
     """Residuals (1 = wrong prediction) plus the study's evaluation mask.
 
     New-class samples carry the sentinel label c and therefore always count as
@@ -331,16 +332,20 @@ def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD) -> Fail
     flagging a sample it would have gotten wrong anyway, so only its behaviour
     on correct inliers versus new-class samples is ranked. Accuracy reporting
     stays over all samples regardless of mask.
+
+    rows, when given, picks the bundle rows of a study, as a boolean mask or
+    as indices: the labels are those of the bundle of just those rows, read
+    without copying the bundle's rows.
     """
     if study_kind not in STUDY_KINDS:
         raise ValueError(f"unknown study kind {study_kind!r}")
-    preds = predictions(bundle)
-    residuals = (preds != bundle.labels).astype(np.int8)
-    eval_mask = np.ones(bundle.n_samples, dtype=bool)
+    sel = slice(None) if rows is None else rows
+    residuals = (predictions(bundle) != bundle.labels)[sel].astype(np.int8)
+    eval_mask = np.ones(residuals.shape[0], dtype=bool)
     if study_kind == NEWCLASS:
-        is_new = np.isin(bundle.shift_tags, NEWCLASS_TAGS)
+        is_new = np.isin(bundle.shift_tags, NEWCLASS_TAGS)[sel]
         if not is_new.any():
             raise EmptyNewClassStudy("new-class study on a bundle with no new-class samples")
-        is_iid = bundle.shift_tags == ShiftTag.IID.value
+        is_iid = (bundle.shift_tags == ShiftTag.IID.value)[sel]
         eval_mask[is_iid & (residuals == 1)] = False
     return FailureLabels(residuals=residuals, eval_mask=eval_mask)

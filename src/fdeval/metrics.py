@@ -95,10 +95,23 @@ class _Sweep:
     """
 
     def __init__(self, conf: np.ndarray):
-        self.order = np.argsort(conf, kind="stable")
-        c = conf[self.order]
-        self.starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-        self.sizes = np.diff(self.starts, append=c.shape[0])
+        # numpy's default sort is several times faster than kind="stable" but
+        # leaves equal values, and the NaNs it sorts last, in any order; one
+        # integer sort of (run, index) keys over those rows puts each run back
+        # into index order, which makes the order exactly the stable one
+        order = np.argsort(conf)
+        c = conf[order]
+        n = c.shape[0]
+        same = c[1:] == c[:-1]
+        self.starts = np.flatnonzero(np.r_[True, ~same])
+        self.sizes = np.diff(self.starts, append=n)
+        same |= np.isnan(c[:-1])  # each NaN is its own group, but the NaN tail is one run to repair
+        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        if tied.size:
+            keys = np.cumsum(np.r_[True, ~same])[tied] * n + order[tied]
+            keys.sort()
+            order[tied] = keys % n
+        self.order = order
 
     def _group_counts(self, flags: np.ndarray) -> np.ndarray:
         return np.add.reduceat(flags[self.order], self.starts, dtype=np.int64)
@@ -143,19 +156,24 @@ def aurc(curve: RiskCoverageCurve) -> float:
     return float(np.sum(curve.weights * (r[:-1] + r[1:]) * 0.5))
 
 
-def e_aurc(curve: RiskCoverageCurve, failure) -> float:
-    """Excess AURC over the best achievable ranking of the same residuals."""
-    res, mask = _residuals_and_mask(failure)
-    n = int(mask.sum())
-    if n == 0:
-        raise EmptyEvaluationSet("no samples left after masking")
+def _optimal_aurc(res: np.ndarray) -> float:
+    """AURC of the best achievable ranking of the evaluated residuals res."""
     # the empirical optimum of the sweep ranks all failures strictly below all
     # successes with distinct values (a tied 0/1 oracle is not optimal,
     # because tie groups merge trapezoids upward): its sorted residuals are
     # known without a sort, and every row is its own tie group
+    n = res.shape[0]
     presorted = np.zeros(n, dtype=np.int64)
-    presorted[: int(res[mask].sum())] = 1
-    return aurc(curve) - aurc(_curve(presorted, np.arange(n)))
+    presorted[: int(res.sum())] = 1
+    return aurc(_curve(presorted, np.arange(n)))
+
+
+def e_aurc(curve: RiskCoverageCurve, failure) -> float:
+    """Excess AURC over the best achievable ranking of the same residuals."""
+    res, mask = _residuals_and_mask(failure)
+    if not mask.any():
+        raise EmptyEvaluationSet("no samples left after masking")
+    return aurc(curve) - _optimal_aurc(res[mask])
 
 
 def auroc_f(scores, failure) -> float:

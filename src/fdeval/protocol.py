@@ -106,27 +106,27 @@ def run_study(
     selects, also of the logits softmax that scores.probs holds; when it holds
     none, nll and brier softmax the study's rows at scores.cfg, the
     configuration the scores were computed at. Every ranking metric of a CSF
-    is read off one sort of its confidences.
+    is read off one sort of its confidences; the study's failure labels and
+    the optimal AURC behind E-AURC depend on the study alone and are computed
+    once.
     on_curve(study name, csf, curve), when given, receives each CSF's curve.
     """
     keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
     if not keep.any():
         raise EmptyEvaluationSet(f"study {spec.name!r}: no samples match {spec.shift_filter}")
-    # a study that keeps every row reads the bundle itself, without copies of its logits, labels and tags
-    sub = bundle if keep.all() else PredictionBundle(logits=bundle.logits[keep], labels=bundle.labels[keep],
-                                                     shift_tags=bundle.shift_tags[keep])
-    flabels = failure_labels(sub, spec.kind)
+    # the study's rows are read through keep, so no study copies the bundle's logits, labels and tags
+    flabels = failure_labels(bundle, spec.kind, keep)
 
     report = MetricReport()
     report.study_info[spec.name] = {
         "kind": spec.kind,
-        "n": sub.n_samples,
+        "n": flabels.residuals.shape[0],
         "n_evaluated": int(flabels.eval_mask.sum()),
     }
 
     # accuracy, NLL and Brier rate the classifier, not a CSF: one value per study
     classifier = {}
-    inlier = sub.labels < sub.n_classes
+    inlier = (bundle.labels < bundle.n_classes)[keep]
     try:
         if "accuracy" in spec.metrics:
             classifier["accuracy"] = M.accuracy(flabels)
@@ -141,6 +141,7 @@ def run_study(
         raise type(exc)(f"[study {spec.name}] {exc}") from exc
 
     needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
+    optimum = None  # the AURC of the study's optimal ranking, the same for every CSF
     for csf, vec in scores.items():
         try:
             conf = vec.scores[keep]
@@ -156,7 +157,10 @@ def run_study(
                 elif metric == "aurc":
                     value = M.aurc(curve)
                 elif metric == "e-aurc":
-                    value = M.e_aurc(curve, flabels)
+                    # the expression of M.e_aurc, with its optimum kept across CSFs
+                    if optimum is None:
+                        optimum = M._optimal_aurc(res)
+                    value = M.aurc(curve) - optimum
                 elif metric == "auroc-f":
                     value = sweep.auroc(res == 0)
                 elif metric == "ap-f":

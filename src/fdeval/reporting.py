@@ -9,6 +9,7 @@ locale) is ever written. The SVG renderer is hand-rolled for the same reason.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from pathlib import Path
@@ -95,32 +96,41 @@ _PAD = 0  # fill byte of the fixed-width text records below; never part of the o
 # 100 * v carries a rounding error of about 1e-11 for v < 1000, so outside this
 # gap np.rint(100 * v) is the integer format(v, ".2f") rounds the exact v to.
 _TIE_GAP = 1e-6
+_CENTS = 100_000  # _cents_table covers 0.00 to 999.99
+_WIDTH = 6        # len("999.99")
+
+
+@functools.cache
+def _cents_table() -> np.ndarray:
+    """Row k: format(k / 100, ".2f") right-aligned in _WIDTH bytes, padded with _PAD; built on first use."""
+    zero = ord("0")
+    w = np.arange(_CENTS // 100)  # the whole part, without leading zeros
+    f = np.arange(100)
+    table = np.empty((w.shape[0], 100, _WIDTH), dtype=np.uint8)  # row k = 100 * w + f
+    table[:, :, :3] = np.stack([np.where(w >= 100, zero + w // 100, _PAD),
+                                np.where(w >= 10, zero + w // 10 % 10, _PAD), zero + w % 10], axis=1)[:, None]
+    table[:, :, 3:] = np.stack([np.full(100, ord(".")), zero + f // 10, zero + f % 10], axis=1)
+    table.flags.writeable = False  # every caller shares the cached array
+    return table.reshape(_CENTS, _WIDTH)
 
 
 def _fixed2(v: np.ndarray) -> np.ndarray:
-    """format(x, ".2f") of each element of v as a row of ASCII bytes, right-aligned, padded with _PAD.
+    """format(x, ".2f") of each element of v as a row of ASCII bytes, padded with _PAD.
 
-    Values in [0, 1000) clear of a half-hundredth are written from
-    np.rint(100 * v); exact or near ties, non-finite and out-of-range values
-    go through format() one by one.
+    Nonnegative values clear of a half-hundredth are looked up in _cents_table
+    by np.rint(100 * v) while it is below _CENTS; exact or near ties,
+    non-finite values and all others go through format() one by one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = 100.0 * v
         cents = np.rint(scaled)
-        fast = ~np.signbit(v) & (v < 1000.0) & (np.abs(scaled - cents) < 0.5 - _TIE_GAP)
+        fast = ~np.signbit(v) & (cents < _CENTS) & (np.abs(scaled - cents) < 0.5 - _TIE_GAP)
     slow = np.flatnonzero(~fast)
     texts = [format(float(v[i]), ".2f").encode("ascii") for i in slow]
-    cents = np.where(fast, cents, 0.0).astype(np.int64)
-    whole = cents // 100
-    digits = len(str(whole.max(initial=0)))  # of the widest whole part, at most 1000
-    width = max([digits + 3] + [len(t) for t in texts])
-    out = np.full((v.shape[0], width), _PAD, dtype=np.uint8)
-    out[:, -1] = ord("0") + cents % 10
-    out[:, -2] = ord("0") + cents // 10 % 10
-    out[:, -3] = ord(".")
-    for j in range(digits):  # whole part without leading zeros
-        digit = ord("0") + whole // 10**j % 10
-        out[:, -4 - j] = np.where((j == 0) | (whole >= 10**j), digit, _PAD)
+    out = np.take(_cents_table(), np.where(fast, cents, 0.0).astype(np.int64), axis=0)
+    width = max([_WIDTH] + [len(t) for t in texts])
+    if width > _WIDTH:
+        out = np.concatenate([np.full((v.shape[0], width - _WIDTH), _PAD, dtype=np.uint8), out], axis=1)
     if texts:  # a bytes array pads with NUL, which is _PAD
         out[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out

@@ -100,9 +100,10 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
         x -= np.max(x, axis=-1, keepdims=True)
         if dtype is np.float16:
             # half exp is not correctly rounded, so it runs in f64; accumulate rounds
-            # each partial sum to half, left to right, where np.sum would carry f32
+            # each partial sum to half, left to right, where np.sum would carry f32;
+            # its last column is copied, so the (n, c) prefix sums are freed at once
             x[...] = np.exp(x, dtype=np.float64)
-            total = np.add.accumulate(x, axis=-1)[..., -1:]
+            total = np.add.accumulate(x, axis=-1)[..., -1:].copy()
         else:
             np.exp(x, out=x)
             total = np.sum(x, axis=-1, keepdims=True)

@@ -271,6 +271,27 @@ def test_failure_labels_commute_with_permutation():
         assert np.array_equal(pfl.eval_mask, base.eval_mask[perm])
 
 
+def test_failure_labels_of_rows_are_those_of_the_selected_bundle():
+    b = newclass_bundle()
+    rng = np.random.default_rng(29)
+    subsets = [np.arange(10), np.arange(6), np.array([0, 4, 6, 9]), np.sort(rng.choice(10, 7, replace=False))]
+    for kind in (STANDARD, NEWCLASS):
+        for rows in subsets:
+            keep = np.zeros(10, dtype=bool)
+            keep[rows] = True
+            for picked in (rows, keep):
+                try:
+                    want = failure_labels(b.select(keep), kind)
+                except EmptyNewClassStudy as exc:
+                    with pytest.raises(EmptyNewClassStudy, match=f"^{exc}$"):
+                        failure_labels(b, kind, picked)
+                    continue
+                got = failure_labels(b, kind, picked)
+                assert got.residuals.dtype == want.residuals.dtype and got.eval_mask.dtype == want.eval_mask.dtype
+                assert got.residuals.tolist() == want.residuals.tolist()
+                assert got.eval_mask.tolist() == want.eval_mask.tolist()
+
+
 def test_select_mask_shape_checked():
     b = simple_bundle([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ShapeMismatch):

@@ -19,7 +19,9 @@ from fdeval import (
     nll,
     rc_curve,
 )
+import fdeval.metrics
 from fdeval.errors import DegenerateLabels, EmptyEvaluationSet, LabelOutOfRange, ShapeMismatch
+from fdeval.metrics import _Sweep
 from fdeval.oracle import optimal_confidence
 
 FIX_CONF = np.array([0.9, 0.8, 0.7, 0.6])
@@ -149,6 +151,58 @@ def test_sweep_matches_previous_formulations_exactly(seed, tie_density):
         assert ap_f(conf, res, positive=positive) == argsort_ap(conf, res, positive)
     curve = rc_curve(conf, res)
     assert e_aurc(curve, res) == aurc(curve) - aurc(rc_curve(optimal_confidence(res), res))
+
+
+class StableSweep(_Sweep):
+    """The sweep as built before the fast sort: one np.argsort(kind="stable")."""
+
+    def __init__(self, conf):
+        self.order = np.argsort(conf, kind="stable")
+        c = conf[self.order]
+        self.starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        self.sizes = np.diff(self.starts, append=c.shape[0])
+
+
+# ties of every kind: +0.0 equals -0.0, inf equals inf, and NaNs (of either sign) sort last
+SPECIAL = [np.nan, -np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0, -1.0, 0.5]
+
+
+def assert_stable_sweep(conf):
+    got, want = _Sweep(conf), StableSweep(conf)
+    assert got.order.tolist() == want.order.tolist()
+    assert got.starts.tolist() == want.starts.tolist() and got.sizes.tolist() == want.sizes.tolist()
+
+
+# 16 is the insertion-sort cutoff of numpy's introsort; the SIMD sorts switch at other sizes
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 16, 17, 64, 257, 1000, 5000, 70_000])
+@pytest.mark.parametrize("pool", [SPECIAL, SPECIAL[:2], SPECIAL[2:4], SPECIAL[4:6], [0.25, 0.75], None])
+def test_sweep_order_is_the_stable_argsort(n, pool):
+    rng = np.random.default_rng(n)
+    conf = rng.random(n) if pool is None else rng.choice(np.array(pool), n)
+    if pool is None:  # distinct values with a few heavy tie groups and a NaN tail
+        conf[rng.random(n) < 0.3] = np.round(rng.random(), 2)
+        conf[rng.random(n) < 0.1] = np.nan
+    assert_stable_sweep(conf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True), max_size=300))
+def test_sweep_order_is_the_stable_argsort_for_any_floats(values):
+    assert_stable_sweep(np.array(values, dtype=np.float64))
+
+
+def test_metrics_with_a_nan_tail_match_the_stable_sweep(monkeypatch):
+    rng = np.random.default_rng(31)
+    conf = np.round(rng.random(5000), 2)
+    conf[rng.random(5000) < 0.3] = np.nan
+    res = (rng.random(5000) < 0.3).astype(np.int8)
+    got_curve = rc_curve(conf, res)
+    got = [auroc_f(conf, res), ap_f(conf, res, "success"), ap_f(conf, res, "failure")]
+    monkeypatch.setattr(fdeval.metrics, "_Sweep", StableSweep)
+    want_curve = rc_curve(conf, res)
+    for field in ("coverages", "risks", "weights"):
+        assert getattr(got_curve, field).tobytes() == getattr(want_curve, field).tobytes(), field
+    assert got == [auroc_f(conf, res), ap_f(conf, res, "success"), ap_f(conf, res, "failure")]
 
 
 def test_auroc_needs_both_outcomes():

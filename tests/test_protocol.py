@@ -30,6 +30,7 @@ from fdeval.errors import (
     ClassUnderpopulated,
     DegenerateLabels,
     EmptyEvaluationSet,
+    EmptyNewClassStudy,
     InvalidParameter,
     MissingMcdStack,
 )
@@ -108,6 +109,31 @@ def test_newclass_study_masks_and_counts():
     assert report.values[("ood", "msr", "auroc-out")] == auroc_out(
         vec, b.labels == b.ood_label, mask=fl.eval_mask
     )
+
+
+def test_newclass_study_keeping_no_newclass_row_raises():
+    b = newclass_bundle()
+    b.shift_tags[np.isin(b.shift_tags, ["NEWCLASS_NONSEMANTIC"])] = "NEWCLASS_SEMANTIC"
+    spec = StudySpec(name="ood", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_NONSEMANTIC"))
+    # the filter keeps the six IID rows, so the study has no new-class row to rank
+    with pytest.raises(EmptyNewClassStudy, match="^new-class study on a bundle with no new-class samples$"):
+        run_study(b, spec, compute_csfs(b, ["msr"]))
+
+
+def test_newclass_study_of_some_rows_counts_as_its_selected_bundle():
+    b = newclass_bundle()
+    spec = StudySpec(name="sem", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC"),
+                     metrics=("aurc", "e-aurc", "auroc-out", "accuracy"))
+    keep = np.isin(b.shift_tags, spec.shift_filter)
+    report = run_study(b, spec, compute_csfs(b, ["msr"]))
+    fl = failure_labels(b.select(keep), NEWCLASS)
+    assert report.study_info["sem"] == {"kind": NEWCLASS, "n": 8, "n_evaluated": 6}
+    assert int(fl.eval_mask.sum()) == 6
+    msr = compute_csf(b, "msr").scores[keep]
+    assert report.values[("sem", "msr", "accuracy")] == accuracy(fl)
+    curve = rc_curve(msr, fl)
+    assert report.values[("sem", "msr", "aurc")] == aurc(curve)
+    assert report.values[("sem", "msr", "e-aurc")] == e_aurc(curve, fl)
 
 
 def test_run_study_sorts_once_per_csf(monkeypatch):

@@ -134,14 +134,33 @@ def test_render_rc_svg_matches_per_point_reference():
         assert render_rc_svg(curve, "a b", name) == per_point_render_rc_svg(curve, "a b", name), name
 
 
+def fixed2_texts(v):
+    return [bytes(r[r != 0]).decode("ascii") for r in _fixed2(np.asarray(v, dtype=np.float64))]
+
+
 def test_fixed2_matches_format():
     rng = np.random.default_rng(5)
+    # the edges of the cents table: a whole part gaining a digit, and the last row, 999.99
+    table_edges = [9.995, 99.995, 999.994999, 999.995, 999.995000001]
     edges = [0.0, -0.0, 0.005, 0.015, 999.995, 999.999, np.nextafter(1000.0, 0.0), 1000.0, 1234.5,
-             -0.001, -5.0, 1e300, np.nan, np.inf, -np.inf]
+             -0.001, -5.0, 1e300, np.nan, np.inf, -np.inf] + table_edges
     v = np.concatenate([rng.random(100_000) * 1000, np.arange(0, 10**6, 9) / 1000, edges])
-    rows = _fixed2(v)
-    got = [bytes(r[r != 0]).decode("ascii") for r in rows]
-    assert got == [format(float(x), ".2f") for x in v]
+    assert fixed2_texts(v) == [format(float(x), ".2f") for x in v]
+    for part in (table_edges, [table_edges[2]], [0.004, 7.25, 42.5, 310.75, 9.99, 99.99, 999.99]):
+        assert fixed2_texts(part) == [format(x, ".2f") for x in part]
+
+
+def test_fixed2_leaves_1000_to_format(monkeypatch):
+    calls = []
+
+    def counting_format(value, spec=""):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(fdeval.reporting, "format", counting_format, raising=False)
+    # np.rint(100 * v) is 100000 for both, one past the cents table
+    assert fixed2_texts([1.25, 999.996, 999.999, 12.5]) == ["1.25", "1000.00", "1000.00", "12.50"]
+    assert calls == [999.996, 999.999]
 
 
 def near_half_hundredths(curve):

@@ -569,10 +569,10 @@ def test_softmax_works_in_place(precision):
     logits = np.random.default_rng(23).normal(0.0, 5.0, (2000, 500))
     cfg = SoftmaxConfig(precision=precision, temperature=1.7)
     result = logits.nbytes   # an f64 array of the logits' shape
-    # f64 holds the result alone (1.0x); f32 adds its f32 array and f16 its half array and
-    # the half accumulate (1.5x each); 2.25x to 3.0x when the subtract, exp and divide
-    # each made a new array
-    assert peak_bytes(softmax, logits, cfg) < 1.6 * result
+    # f64 holds the result alone (1.0x); f32 adds its f32 array (1.5x) and f16 its half
+    # array (1.25x; 1.5x while a view kept the half prefix sums alive through the divide);
+    # 2.25x to 3.0x when the subtract, exp and divide each made a new array
+    assert peak_bytes(softmax, logits, cfg) < (1.3 if precision == F16 else 1.6) * result
     assert softmax(logits, cfg).tobytes() == one_body_softmax(logits, cfg).tobytes()
 
 
