@@ -26,6 +26,7 @@ from .oracle import aurc_oracle, auroc_oracle
 from .precision_audit import audit, synthesize_highconf_bundle
 from .protocol import (
     DEFAULT_METRICS,
+    SOFTMAX_METRICS,
     MetricReport,
     StudySpec,
     rank_table,
@@ -238,7 +239,7 @@ def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
                     raise InvalidParameter(
                         f"study {spec.name!r} CSF {csf!r} and study {other[0]!r} CSF {other[1]!r} both write {name}"
                     )
-    keep_probs = any(not {"nll", "brier"}.isdisjoint(spec.metrics) for spec in studies)
+    keep_probs = any(not SOFTMAX_METRICS.isdisjoint(spec.metrics) for spec in studies)
     scores = compute_csfs(bundle, rc.csfs, rc.softmax, keep_probs)
     svgs = []
 
@@ -299,17 +300,10 @@ def cmd_calibrate(rc: RunConfig, args) -> list[Path]:
 
 def cmd_precision_audit(rc: RunConfig, args) -> list[Path]:
     if args.synthetic:
-        seed = _env_seed()
-        bundle = synthesize_highconf_bundle(
-            n=args.n,
-            c=args.c,
-            failure_rate=args.failure_rate,
-            gap_low=args.gap_low,
-            gap_high=args.gap_high,
-            seed=seed,
-        )
-        source = {"source": "synthetic", "n": args.n, "c": args.c, "failure_rate": args.failure_rate,
-                  "gap_low": args.gap_low, "gap_high": args.gap_high, "seed": seed}
+        params = {"n": args.n, "c": args.c, "failure_rate": args.failure_rate,
+                  "gap_low": args.gap_low, "gap_high": args.gap_high, "seed": _env_seed()}
+        bundle = synthesize_highconf_bundle(**params)
+        source = {"source": "synthetic", **params}
     else:
         bundle = _require_bundle(rc)
         source = {"source": "bundle"}

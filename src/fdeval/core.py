@@ -327,11 +327,11 @@ def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
     """Residuals (1 = wrong prediction) plus the study's evaluation mask.
 
     New-class samples carry the sentinel label c and therefore always count as
-    failures. Under a new-class study, inlier (IID) misclassifications are
+    failures. Under a new-class study, misclassified IID-tagged rows are
     dismissed from the evaluation mask: the classifier cannot be blamed for
-    flagging a sample it would have gotten wrong anyway, so only its behaviour
-    on correct inliers versus new-class samples is ranked. Accuracy reporting
-    stays over all samples regardless of mask.
+    flagging a sample it would have gotten wrong anyway. Misclassified rows
+    of other inlier tags stay as failures. Accuracy reporting stays over all
+    samples regardless of mask.
 
     rows, when given, picks the bundle rows of a study, as a boolean mask or
     as indices: the labels are those of the bundle of just those rows, read
@@ -343,8 +343,7 @@ def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
     residuals = (predictions(bundle) != bundle.labels)[sel].astype(np.int8)
     eval_mask = np.ones(residuals.shape[0], dtype=bool)
     if study_kind == NEWCLASS:
-        is_new = np.isin(bundle.shift_tags, NEWCLASS_TAGS)[sel]
-        if not is_new.any():
+        if not (bundle.labels == bundle.ood_label)[sel].any():
             raise EmptyNewClassStudy("new-class study on a bundle with no new-class samples")
         is_iid = (bundle.shift_tags == ShiftTag.IID.value)[sel]
         eval_mask[is_iid & (residuals == 1)] = False

@@ -2,7 +2,7 @@
 
 A study is a named slice of a bundle (by shift tag) evaluated under either
 the standard protocol (every misclassification is a failure) or the new-class
-protocol (inlier misclassifications are dismissed from the ranking mask;
+protocol (misclassified IID-tagged rows are dismissed from the ranking mask;
 accuracy still covers all samples). Results land in a MetricReport keyed by
 (study, csf, metric), with competition ranks per (study, metric) column.
 """
@@ -44,6 +44,8 @@ KNOWN_METRICS = (
 )
 DEFAULT_METRICS = ("aurc", "e-aurc", "auroc-f", "accuracy")
 RANKING_METRICS = frozenset({"aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "auroc-out"})
+# the classifier metrics that read the logits softmax, so a run holds it only when a study asks for one
+SOFTMAX_METRICS = frozenset({"nll", "brier"})
 
 
 @dataclass(frozen=True)
@@ -105,16 +107,16 @@ def run_study(
     compute_csfs returns them; the study keeps the rows its shift filter
     selects, also of the logits softmax that scores.probs holds; when it holds
     none, nll and brier softmax the study's rows at scores.cfg, the
-    configuration the scores were computed at. Every ranking metric of a CSF
-    is read off one sort of its confidences; the study's failure labels and
-    the optimal AURC behind E-AURC depend on the study alone and are computed
-    once.
+    configuration the scores were computed at. What depends on the study
+    alone (its evaluated rows, their residuals and flags, the optimal AURC
+    behind E-AURC) is computed once; each CSF then gathers its evaluated
+    confidences and reads every ranking metric off one sort of them.
     on_curve(study name, csf, curve), when given, receives each CSF's curve.
     """
     keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
     if not keep.any():
         raise EmptyEvaluationSet(f"study {spec.name!r}: no samples match {spec.shift_filter}")
-    # the study's rows are read through keep, so no study copies the bundle's logits, labels and tags
+    # the study's rows are read through masks, so no study copies the bundle's logits, labels and tags
     flabels = failure_labels(bundle, spec.kind, keep)
 
     report = MetricReport()
@@ -126,13 +128,12 @@ def run_study(
 
     # accuracy, NLL and Brier rate the classifier, not a CSF: one value per study
     classifier = {}
-    inlier = (bundle.labels < bundle.n_classes)[keep]
     try:
         if "accuracy" in spec.metrics:
             classifier["accuracy"] = M.accuracy(flabels)
-        if not {"nll", "brier"}.isdisjoint(spec.metrics):
+        if not SOFTMAX_METRICS.isdisjoint(spec.metrics):
             # softmax is rowwise, so the run's softmax of the study's inlier rows is their own softmax
-            rows = np.flatnonzero(keep)[inlier]
+            rows = keep & (bundle.labels != bundle.ood_label)
             probs = softmax(bundle.logits[rows], scores.cfg) if scores.probs is None else scores.probs[rows]
             for metric, fn in (("nll", M.nll), ("brier", M.brier)):
                 if metric in spec.metrics:
@@ -140,42 +141,43 @@ def run_study(
     except FdevalError as exc:
         raise type(exc)(f"[study {spec.name}] {exc}") from exc
 
+    evaluated = keep.copy()
+    evaluated[keep] = flabels.eval_mask
+    res = flabels.residuals[flabels.eval_mask]
+    success, failure = res == 0, res == 1
+    inlier = bundle.labels[evaluated] != bundle.ood_label
+    # the AURC of the study's optimal ranking, the same for every CSF
+    optimum = M._optimal_aurc(res) if "e-aurc" in spec.metrics else None
     needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
-    optimum = None  # the AURC of the study's optimal ranking, the same for every CSF
+    needs_curve = on_curve is not None or not {"aurc", "e-aurc"}.isdisjoint(spec.metrics)
     for csf, vec in scores.items():
         try:
-            conf = vec.scores[keep]
             if needs_sweep:
-                conf_eval, res = M._masked(conf, flabels)
-                sweep = M._Sweep(conf_eval)
-            curve = None
+                sweep = M._Sweep(vec.scores[evaluated])
+            if needs_curve:
+                curve = sweep.curve(res)
             for metric in spec.metrics:
-                if metric in ("aurc", "e-aurc") and curve is None:
-                    curve = sweep.curve(res)
                 if metric in classifier:
                     value = classifier[metric]
                 elif metric == "aurc":
                     value = M.aurc(curve)
-                elif metric == "e-aurc":
-                    # the expression of M.e_aurc, with its optimum kept across CSFs
-                    if optimum is None:
-                        optimum = M._optimal_aurc(res)
+                elif metric == "e-aurc":  # the expression of M.e_aurc
                     value = M.aurc(curve) - optimum
                 elif metric == "auroc-f":
-                    value = sweep.auroc(res == 0)
+                    value = sweep.auroc(success)
                 elif metric == "ap-f":
-                    value = sweep.ap(res == 0, descending=True)
+                    value = sweep.ap(success, descending=True)
                 elif metric == "ap-f-err":
-                    value = sweep.ap(res == 1, descending=False)
+                    value = sweep.ap(failure, descending=False)
                 elif metric == "auroc-out":
-                    value = sweep.auroc(inlier[flabels.eval_mask])
+                    value = sweep.auroc(inlier)
                 elif metric == "ece":
-                    value = _ece_of(conf, flabels, ece_bins)
+                    value = _ece_of(vec.scores[keep], flabels, ece_bins)
                 else:  # unreachable, StudySpec validates names
                     raise InvalidParameter(f"unknown metric {metric!r}")
                 report.values[(spec.name, csf, metric)] = float(value)
             if on_curve is not None:
-                on_curve(spec.name, csf, curve if curve is not None else sweep.curve(res))
+                on_curve(spec.name, csf, curve)
         except FdevalError as exc:
             raise type(exc)(f"[study {spec.name} / {csf}] {exc}") from exc
     return report

@@ -206,7 +206,8 @@ class PlattModel:
 def _platt_nll_grad_hess(s, y, a, b):
     z = a * s + b
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
-    p = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):   # exp(-z) overflows to inf where the sigmoid rounds to 0
+        p = 1.0 / (1.0 + np.exp(-z))
     diff = p - y
     g = np.array([np.sum(diff * s), np.sum(diff)])
     w = p * (1.0 - p)
@@ -270,7 +271,8 @@ def platt_apply(model: PlattModel, scores) -> np.ndarray:
     """Map scores through the fitted sigmoid; strictly monotone for a > 0."""
     s = _conf_array(scores)
     z = model.a * s + model.b
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    with np.errstate(over="ignore", invalid="ignore"):   # np.where drops the branch that overflows
+        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
 
 
 def ece(calibrated_scores, residuals, bins: int = 15) -> float:

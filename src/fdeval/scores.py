@@ -318,7 +318,7 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         elif csf_id == MAHA:
             if bundle.features is None:
                 raise MissingFeatures("maha requires bundle features")
-            inlier = bundle.labels < bundle.n_classes    # one fit, so a row has one maha score in every study
+            inlier = bundle.labels != bundle.ood_label    # one fit, so a row has one maha score in every study
             model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
             out[csf_id] = score_mahalanobis(model, bundle.features)
         elif csf_id.startswith("mcd-") and bundle.mcd_logits is None:

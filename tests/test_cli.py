@@ -276,6 +276,7 @@ BROKEN_INPUTS = {
     "bundle-not-a-string": ("config", {"bundle": 5}, 2),
     "out-not-a-string": ("config", {"out": 5}, 2),
     "config-not-utf8": ("file", ("run.json", b'{"csfs": ["m\xffr"]}'), 2),
+    "config-not-an-object": ("file", ("run.json", "[1]"), 2),
     # each file must hold exactly the shape meta.json promises, not the same number of values
     "labels-csv-2x2": ("file", ("bundle/labels.csv", "0,1\n0,1\n"), 1),
     "labels-csv-one-line": ("file", ("bundle/labels.csv", "0,1,0,1\n"), 1),
@@ -489,3 +490,25 @@ def test_evaluate_never_copies_the_bundle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(PredictionBundle, "select", refuse)
     assert run(["evaluate", "--config", write_workload(tmp_path, "scores-wide", config), "--emit", "json,svg"]) == 0
+
+
+def test_maha_without_an_inlier_row_exits_1(tmp_path, capsys):
+    b = simple_bundle(np.eye(4, 2), [2] * 4, tags=["NEWCLASS_SEMANTIC"] * 4, features=np.eye(4, 2))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"csfs": ["maha"]}))
+    assert run(["evaluate", "--bundle", write_bundle(b, tmp_path / "bundle"), "--config", config,
+                "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == "error: ClassUnderpopulated: maha: no training rows\n"
+
+
+def test_platt_on_far_apart_scores_runs_without_a_warning(tmp_path):
+    # the fitted sigmoid overflows exp where it rounds to 0 or 1, and in the branch np.where drops
+    scores = np.array([-1.0, 1.0, -500.0, 0.0, -999.0, -1000.0, 1000.0, 0.0])
+    failed = [1, 0, 1, 0, 1, 1, 0, 1]
+    bundle_dir = write_bundle(simple_bundle([[2.0, 0.0]] * 8, failed, externals={"x": scores}), tmp_path / "bundle")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"csfs": ["ext:x"], "studies": [{"name": "s", "metrics": ["ece"]}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["evaluate", "--bundle", bundle_dir, "--config", config, "--out", tmp_path / "e"]) == 0
+        assert run(["calibrate", "--bundle", bundle_dir, "--csf", "ext:x", "--out", tmp_path / "c"]) == 0

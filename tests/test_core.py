@@ -154,6 +154,9 @@ def test_load_missing_files(tmp_path):
     (tmp_path / "b" / "meta.json").write_text('{"n": 1, "c": 2}')
     with pytest.raises(MissingFile, match="logits"):
         load_bundle(tmp_path / "b")
+    (write_bundle(simple_bundle([[1.0, 2.0]], [0]), tmp_path / "b") / "shift.csv").unlink()
+    with pytest.raises(MissingFile, match="shift.csv"):
+        load_bundle(tmp_path / "b")
 
 
 def test_meta_row_count_mismatch(tmp_path):
@@ -221,6 +224,10 @@ def test_shape_guards():
         simple_bundle(np.eye(4, 3), [0, 1, 0, 1], externals={"x": np.ones((2, 2))})
     with pytest.raises(ShapeMismatch, match="shift"):
         simple_bundle(np.eye(4, 3), [0, 1, 0, 1], tags=[["IID", "IID"], ["IID", "IID"]])
+    with pytest.raises(ShapeMismatch, match=r"mcd_logits: expected \(4, t, 3\), got \(4, 2, 2\)"):
+        simple_bundle(np.eye(4, 3), [0, 1, 0, 1], mcd_logits=np.ones((4, 2, 2)))
+    with pytest.raises(ShapeMismatch, match=r"features: expected \(4, d\), got \(3, 2\)"):
+        simple_bundle(np.eye(4, 3), [0, 1, 0, 1], features=np.ones((3, 2)))
 
 
 def test_predictions_tie_takes_lowest_index():
@@ -243,6 +250,11 @@ def test_failure_labels_newclass_masks_iid_failures():
     assert fl.eval_mask.tolist() == [True] * 4 + [False, False] + [True] * 4
     # standard protocol keeps everything
     assert failure_labels(b, STANDARD).eval_mask.all()
+    # only IID-tagged failures are dismissed: a misclassified COVARIATE row stays a failure
+    tags = ["IID", "IID", "COVARIATE", "NEWCLASS_SEMANTIC"]
+    fl = failure_labels(simple_bundle([[2.0, 0.0]] * 4, [0, 1, 1, 2], tags=tags), NEWCLASS)
+    assert fl.residuals.tolist() == [0, 1, 1, 1]
+    assert fl.eval_mask.tolist() == [True, False, True, True]
 
 
 def test_newclass_study_needs_newclass_rows():

@@ -145,6 +145,11 @@ def test_run_study_sorts_once_per_csf(monkeypatch):
         return real_argsort(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
+    # the evaluated rows and the E-AURC optimum depend on the study alone
+    monkeypatch.setattr(fdeval.metrics, "_masked", lambda *args: pytest.fail("run_study masked per CSF"))
+    optima = []
+    real_optimal_aurc = fdeval.metrics._optimal_aurc
+    monkeypatch.setattr(fdeval.metrics, "_optimal_aurc", lambda res: optima.append(1) or real_optimal_aurc(res))
     spec = StudySpec(
         name="ood",
         kind=NEWCLASS,
@@ -155,6 +160,7 @@ def test_run_study_sorts_once_per_csf(monkeypatch):
     b = newclass_bundle()
     report = run_study(b, spec, compute_csfs(b, ["msr", "pe", "mls"]), on_curve=lambda *args: curves.append(args))
     assert len(sorts) == 3
+    assert len(optima) == 1
     assert [(study, csf) for study, csf, _ in curves] == [("ood", "msr"), ("ood", "pe"), ("ood", "mls")]
     for _, csf, curve in curves:
         assert aurc(curve) == report.values[("ood", csf, "aurc")]
