@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .core import ALL_TAGS, STANDARD, failure_labels, load_bundle
+from .core import ALL_TAGS, STANDARD, failure_labels, load_bundle, predictions
 from .errors import FdevalError, InvalidParameter
 from .metrics import aurc, rc_curve
 from .oracle import aurc_oracle, auroc_oracle
@@ -202,12 +202,12 @@ def _standard_csf(rc: RunConfig, csf: str):
 
 
 def _write(rc: RunConfig, name: str, content) -> Path:
-    """Write one artifact into the output directory: a dict as deterministic JSON, a str as it is."""
+    """Write one artifact into the output directory: a dict as deterministic JSON, bytes as they are, a str as UTF-8."""
     rc.out.mkdir(parents=True, exist_ok=True)
     path = rc.out / name
     if isinstance(content, dict):
         return write_json(path, content)
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     return path
 
 
@@ -247,9 +247,10 @@ def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
         svgs.append(_write(rc, _svg_name(study, csf), render_rc_svg(curve, study, csf)))
 
     on_curve = write_svg if "svg" in rc.emit else None
+    predicted = predictions(bundle)  # the bundle's argmax, once for every study
     report = MetricReport()
     for spec in studies:
-        report.merge(run_study(bundle, spec, scores, ece_bins=rc.ece_bins, on_curve=on_curve))
+        report.merge(run_study(bundle, spec, scores, ece_bins=rc.ece_bins, on_curve=on_curve, predicted=predicted))
     rank_table(report)
 
     written = []
@@ -324,12 +325,13 @@ def cmd_precision_audit(rc: RunConfig, args) -> list[Path]:
 
 def cmd_verify(rc: RunConfig, args) -> list[Path]:
     bundle = _require_bundle(rc)
-    fl = failure_labels(bundle, STANDARD)
+    predicted = predictions(bundle)
+    fl = failure_labels(bundle, STANDARD, predicted=predicted)
     csfs = args.csf or rc.csfs
     # the values evaluate writes for an all-rows standard study, checked against the oracles
     scores = compute_csfs(bundle, csfs, rc.softmax)
     spec = StudySpec(name="verify", kind=STANDARD, metrics=("aurc", "auroc-f"))
-    values = run_study(bundle, spec, scores).values
+    values = run_study(bundle, spec, scores, predicted=predicted).values
     aurc_dev = auroc_dev = 0.0
     for csf, vec in scores.items():
         ref = aurc_oracle(vec.scores, fl.residuals, fl.eval_mask)

@@ -20,10 +20,11 @@ shift.csv is always CSV.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,18 +54,47 @@ class ShiftTag(str, enum.Enum):
 
 NEWCLASS_TAGS = (ShiftTag.NEWCLASS_SEMANTIC.value, ShiftTag.NEWCLASS_NONSEMANTIC.value)
 ALL_TAGS = tuple(t.value for t in ShiftTag)
+# a bundle holds each row's shift tag as a uint8 code, the tag's index in ALL_TAGS
+_TAG_CODE = {tag: k for k, tag in enumerate(ALL_TAGS)}
+_NO_TAG = 255
 
 
-@dataclass
+def _tag_codes(tags) -> np.ndarray:
+    """The uint8 codes of an array of tag names; a uint8 array holds codes already and is taken as it is."""
+    if isinstance(tags, np.ndarray) and tags.dtype == np.uint8:
+        return tags
+    # str objects compare exactly; a str array would drop a trailing NUL byte
+    names = tags if getattr(tags, "dtype", None) == object else np.asarray(tags, dtype=str)
+    codes = np.full(names.shape, _NO_TAG, dtype=np.uint8)
+    for tag, k in _TAG_CODE.items():
+        codes[names == tag] = k
+    bad = np.flatnonzero(codes == _NO_TAG)
+    if bad.size:
+        raise LabelOutOfRange(f"shift: unknown tag {str(names.flat[bad[0]])!r} at row {bad[0]}")
+    return codes
+
+
 class PredictionBundle:
-    """Validated in-memory view of one bundle directory."""
+    """Validated in-memory view of one bundle directory; the shift tags are held as codes, shift_codes."""
 
-    logits: np.ndarray                      # (n, c) f64
-    labels: np.ndarray                      # (n,) int64, values in [0, c]; c = new class
-    shift_tags: np.ndarray                  # (n,) unicode, ShiftTag names
-    mcd_logits: np.ndarray | None = None    # (n, t, c) f64
-    features: np.ndarray | None = None      # (n, d) f64
-    externals: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (n,) f64
+    def __init__(self, logits, labels, shift_tags, mcd_logits=None, features=None, externals=None):
+        self.logits = logits                        # (n, c) f64
+        self.labels = labels                        # (n,) int64, values in [0, c]; c = new class
+        self.shift_codes = _tag_codes(shift_tags)   # (n,) uint8, indices into ALL_TAGS
+        self.mcd_logits = mcd_logits                # (n, t, c) f64
+        self.features = features                    # (n, d) f64
+        self.externals = {} if externals is None else externals  # name -> (n,) f64
+
+    @property
+    def shift_tags(self) -> np.ndarray:
+        """The tag names, built from the codes on each read: read-only, as a write into them would be lost."""
+        tags = np.array(ALL_TAGS)[self.shift_codes]
+        tags.flags.writeable = False
+        return tags
+
+    def tagged(self, tags) -> np.ndarray:
+        """Boolean mask of the rows whose shift tag is one of tags, read off a table over the codes."""
+        return np.isin(ALL_TAGS, list(tags))[self.shift_codes]
 
     @property
     def n_samples(self) -> int:
@@ -87,7 +117,7 @@ class PredictionBundle:
         return PredictionBundle(
             logits=self.logits[mask],
             labels=self.labels[mask],
-            shift_tags=self.shift_tags[mask],
+            shift_tags=self.shift_codes[mask],
             mcd_logits=None if self.mcd_logits is None else self.mcd_logits[mask],
             features=None if self.features is None else self.features[mask],
             externals={k: v[mask] for k, v in self.externals.items()},
@@ -179,16 +209,9 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
         raise LabelOutOfRange(f"labels: label {rounded[row]:g} at row {row} outside [0, {c}]")
     bundle.labels = rounded.astype(np.int64)
 
-    tags = np.asarray(bundle.shift_tags, dtype="U24")
-    if tags.shape != (n,):
-        raise ShapeMismatch(f"shift: expected shape ({n},), got {tags.shape}")
-    known = np.isin(tags, ALL_TAGS)
-    if not known.all():
-        row = int(np.argwhere(~known)[0][0])
-        raise LabelOutOfRange(f"shift: unknown tag {tags[row]!r} at row {row}")
-    bundle.shift_tags = tags
-
-    is_new = np.isin(tags, NEWCLASS_TAGS)
+    if bundle.shift_codes.shape != (n,):
+        raise ShapeMismatch(f"shift: expected shape ({n},), got {bundle.shift_codes.shape}")
+    is_new = bundle.tagged(NEWCLASS_TAGS)
     is_ood = bundle.labels == c
     if (is_new != is_ood).any():
         row = int(np.argwhere(is_new != is_ood)[0][0])
@@ -222,15 +245,21 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
 
 def _read_shift_tags(path: Path) -> np.ndarray:
     try:
-        lines = [line.strip() for line in path.read_text().splitlines()]
+        lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise ShapeMismatch(f"shift.csv: {exc}") from exc
-    while lines and not lines[-1]:
+    while lines and not lines[-1].strip():
         lines.pop()
-    if "" in lines:
-        # dropping an interior blank line would move every later tag onto the wrong row
-        raise ShapeMismatch(f"shift.csv: line {lines.index('') + 1} is blank")
-    return np.array(lines, dtype="U24")
+    # a line that is exactly a tag is one dict lookup; if one is not, the stripped lines go to
+    # the constructor as str objects, which it compares exactly and names when unknown
+    codes = np.frombuffer(bytearray(map(_TAG_CODE.get, lines, itertools.repeat(_NO_TAG))), dtype=np.uint8)
+    if (codes == _NO_TAG).any():
+        lines = [line.strip() for line in lines]
+        if "" in lines:
+            # dropping an interior blank line would move every later tag onto the wrong row
+            raise ShapeMismatch(f"shift.csv: line {lines.index('') + 1} is blank")
+        return np.array(lines, dtype=object)
+    return codes
 
 
 def _meta_count(meta: dict, key: str, default: int | None = None) -> int:
@@ -323,7 +352,7 @@ def predictions(bundle: PredictionBundle) -> np.ndarray:
 
 
 def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
-                   rows: np.ndarray | None = None) -> FailureLabels:
+                   rows: np.ndarray | None = None, predicted: np.ndarray | None = None) -> FailureLabels:
     """Residuals (1 = wrong prediction) plus the study's evaluation mask.
 
     New-class samples carry the sentinel label c and therefore always count as
@@ -335,16 +364,18 @@ def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
 
     rows, when given, picks the bundle rows of a study, as a boolean mask or
     as indices: the labels are those of the bundle of just those rows, read
-    without copying the bundle's rows.
+    without copying the bundle's rows. predicted, when given, is
+    predictions(bundle), taken once for a run of several studies.
     """
     if study_kind not in STUDY_KINDS:
         raise ValueError(f"unknown study kind {study_kind!r}")
     sel = slice(None) if rows is None else rows
-    residuals = (predictions(bundle) != bundle.labels)[sel].astype(np.int8)
+    predicted = predictions(bundle) if predicted is None else predicted
+    residuals = (predicted != bundle.labels)[sel].astype(np.int8)
     eval_mask = np.ones(residuals.shape[0], dtype=bool)
     if study_kind == NEWCLASS:
         if not (bundle.labels == bundle.ood_label)[sel].any():
             raise EmptyNewClassStudy("new-class study on a bundle with no new-class samples")
-        is_iid = (bundle.shift_tags == ShiftTag.IID.value)[sel]
+        is_iid = bundle.tagged([ShiftTag.IID.value])[sel]
         eval_mask[is_iid & (residuals == 1)] = False
     return FailureLabels(residuals=residuals, eval_mask=eval_mask)

@@ -113,15 +113,15 @@ class _Sweep:
             order[tied] = keys % n
         self.order = order
 
-    def _group_counts(self, flags: np.ndarray) -> np.ndarray:
+    def counts(self, flags: np.ndarray) -> np.ndarray:
+        """The number of set flags in each tie group, the input of auroc and ap."""
         return np.add.reduceat(flags[self.order], self.starts, dtype=np.int64)
 
     def curve(self, res: np.ndarray) -> RiskCoverageCurve:
         return _curve(res[self.order], self.starts)
 
-    def auroc(self, positive: np.ndarray) -> float:
-        """Mann-Whitney AUROC with half credit per tied pair, via midranks."""
-        pos = self._group_counts(positive)
+    def auroc(self, pos: np.ndarray) -> float:
+        """Mann-Whitney AUROC with half credit per tied pair, via midranks, of pos positives per tie group."""
         n_pos = int(pos.sum())
         n_neg = self.order.shape[0] - n_pos
         if n_pos == 0 or n_neg == 0:
@@ -132,9 +132,9 @@ class _Sweep:
         u = rank_sum - n_pos * (n_pos + 1) / 2.0
         return float(u / (n_pos * n_neg))
 
-    def ap(self, positive: np.ndarray, descending: bool) -> float:
-        """Step-interpolated average precision with one threshold per tie group."""
-        tp, sizes = self._group_counts(positive), self.sizes
+    def ap(self, tp: np.ndarray, descending: bool) -> float:
+        """Step-interpolated average precision with one threshold per tie group, of tp positives per group."""
+        sizes = self.sizes
         if descending:
             tp, sizes = tp[::-1], sizes[::-1]
         n_pos = int(tp.sum())
@@ -179,7 +179,8 @@ def e_aurc(curve: RiskCoverageCurve, failure) -> float:
 def auroc_f(scores, failure) -> float:
     """Failure-detection AUROC: successes as positives, higher is better."""
     conf, res = _masked(scores, failure)
-    return _Sweep(conf).auroc(res == 0)
+    sweep = _Sweep(conf)
+    return sweep.auroc(sweep.counts(res == 0))
 
 
 def auroc_out(scores, outlier_labels, mask=None) -> float:
@@ -193,7 +194,8 @@ def auroc_out(scores, outlier_labels, mask=None) -> float:
         conf, out = conf[keep], out[keep]
     if conf.shape[0] == 0:
         raise EmptyEvaluationSet("no samples left after masking")
-    return _Sweep(conf).auroc(out == 0)
+    sweep = _Sweep(conf)
+    return sweep.auroc(sweep.counts(out == 0))
 
 
 def ap_f(scores, failure, positive: str = "success") -> float:
@@ -204,11 +206,12 @@ def ap_f(scores, failure, positive: str = "success") -> float:
     that low confidence is treated as a failure alarm.
     """
     conf, res = _masked(scores, failure)
+    if positive not in ("success", "failure"):
+        raise ValueError(f"positive must be 'success' or 'failure', got {positive!r}")
+    sweep = _Sweep(conf)
     if positive == "success":
-        return _Sweep(conf).ap(res == 0, descending=True)
-    if positive == "failure":
-        return _Sweep(conf).ap(res == 1, descending=False)
-    raise ValueError(f"positive must be 'success' or 'failure', got {positive!r}")
+        return sweep.ap(sweep.counts(res == 0), descending=True)
+    return sweep.ap(sweep.counts(res == 1), descending=False)
 
 
 def accuracy(failure) -> float:

@@ -69,7 +69,7 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
         report.round_to_one_rate[p] = float(np.mean(_rounds_to_one(msr, logits)))
         sweep = _Sweep(msr)
         report.aurc[p] = aurc(sweep.curve(res))
-        report.auroc_f[p] = sweep.auroc(res == 0)
+        report.auroc_f[p] = sweep.auroc(sweep.counts(res == 0))
         report.accuracy[p] = float(np.mean(np.argmax(logits, axis=1) == bundle.labels))
     return report
 

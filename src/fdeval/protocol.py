@@ -100,6 +100,7 @@ def run_study(
     scores: CsfScores,
     ece_bins: int = 15,
     on_curve=None,
+    predicted: np.ndarray | None = None,
 ) -> MetricReport:
     """Evaluate every scored CSF under one study; returns a report fragment.
 
@@ -108,16 +109,17 @@ def run_study(
     selects, also of the logits softmax that scores.probs holds; when it holds
     none, nll and brier softmax the study's rows at scores.cfg, the
     configuration the scores were computed at. What depends on the study
-    alone (its evaluated rows, their residuals and flags, the optimal AURC
-    behind E-AURC) is computed once; each CSF then gathers its evaluated
-    confidences and reads every ranking metric off one sort of them.
-    on_curve(study name, csf, curve), when given, receives each CSF's curve.
+    alone (its evaluated rows, their residuals, the optimal AURC behind
+    E-AURC) is computed once; each CSF then reads every ranking metric off one
+    sort of its evaluated confidences and one gather of the residuals into it.
+    on_curve(study name, csf, curve), when given, receives each CSF's curve;
+    predicted, when given, is predictions(bundle), taken once per run.
     """
-    keep = np.isin(bundle.shift_tags, list(spec.shift_filter))
+    keep = bundle.tagged(spec.shift_filter)
     if not keep.any():
         raise EmptyEvaluationSet(f"study {spec.name!r}: no samples match {spec.shift_filter}")
     # the study's rows are read through masks, so no study copies the bundle's logits, labels and tags
-    flabels = failure_labels(bundle, spec.kind, keep)
+    flabels = failure_labels(bundle, spec.kind, keep, predicted)
 
     report = MetricReport()
     report.study_info[spec.name] = {
@@ -144,7 +146,6 @@ def run_study(
     evaluated = keep.copy()
     evaluated[keep] = flabels.eval_mask
     res = flabels.residuals[flabels.eval_mask]
-    success, failure = res == 0, res == 1
     inlier = bundle.labels[evaluated] != bundle.ood_label
     # the AURC of the study's optimal ranking, the same for every CSF
     optimum = M._optimal_aurc(res) if "e-aurc" in spec.metrics else None
@@ -154,27 +155,22 @@ def run_study(
         try:
             if needs_sweep:
                 sweep = M._Sweep(vec.scores[evaluated])
+                # the residuals in sweep order: the curve and the outcome counts per tie group read this one gather
+                ranked = res[sweep.order]
+                failures = np.add.reduceat(ranked, sweep.starts, dtype=np.int64)
             if needs_curve:
-                curve = sweep.curve(res)
-            for metric in spec.metrics:
-                if metric in classifier:
-                    value = classifier[metric]
-                elif metric == "aurc":
-                    value = M.aurc(curve)
-                elif metric == "e-aurc":  # the expression of M.e_aurc
-                    value = M.aurc(curve) - optimum
-                elif metric == "auroc-f":
-                    value = sweep.auroc(success)
-                elif metric == "ap-f":
-                    value = sweep.ap(success, descending=True)
-                elif metric == "ap-f-err":
-                    value = sweep.ap(failure, descending=False)
-                elif metric == "auroc-out":
-                    value = sweep.auroc(inlier)
-                elif metric == "ece":
-                    value = _ece_of(vec.scores[keep], flabels, ece_bins)
-                else:  # unreachable, StudySpec validates names
-                    raise InvalidParameter(f"unknown metric {metric!r}")
+                curve = M._curve(ranked, sweep.starts)
+            formulas = {
+                "aurc": lambda: M.aurc(curve),
+                "e-aurc": lambda: M.aurc(curve) - optimum,  # the expression of M.e_aurc
+                "auroc-f": lambda: sweep.auroc(sweep.sizes - failures),
+                "ap-f": lambda: sweep.ap(sweep.sizes - failures, descending=True),
+                "ap-f-err": lambda: sweep.ap(failures, descending=False),
+                "auroc-out": lambda: sweep.auroc(sweep.counts(inlier)),
+                "ece": lambda: _ece_of(vec.scores[keep], flabels, ece_bins),
+            }
+            for metric in spec.metrics:  # StudySpec admits only the names above and the classifier's
+                value = classifier[metric] if metric in classifier else formulas[metric]()
                 report.values[(spec.name, csf, metric)] = float(value)
             if on_curve is not None:
                 on_curve(spec.name, csf, curve)

@@ -136,21 +136,24 @@ def _fixed2(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _records(*fields) -> str:
-    """Rows of _fixed2 blocks and str literals side by side, read row by row with the padding dropped."""
-    rows = next(f.shape[0] for f in fields if not isinstance(f, str))
-    blocks = [np.frombuffer(f.encode("ascii"), dtype=np.uint8) if isinstance(f, str) else f for f in fields]
-    out = np.empty((rows, sum(b.shape[-1] for b in blocks)), dtype=np.uint8)
-    col = 0
-    for b in blocks:
-        out[:, col:col + b.shape[-1]] = b
-        col += b.shape[-1]
-    flat = out.ravel()
-    return flat[flat != _PAD].tobytes().decode("ascii")
+def _path_data(xs: np.ndarray, ys: np.ndarray) -> bytes:
+    """The d attribute of the curve path from the _fixed2 rows of its coordinates, the padding dropped."""
+    wx = xs.shape[1]
+    # block i holds the two vertices of point i, " L x_i,y_(i-1)" across and " L x_i,y_i" down, so x_i is
+    # written once for both; block 0 holds "M x0,y0" and, before it, a vertex of padding alone
+    out = np.empty((xs.shape[0], 2, 4 + wx + ys.shape[1]), dtype=np.uint8)
+    out[:, :, :3] = tuple(b" L ")
+    out[:, :, 3:3 + wx] = xs[:, None]
+    out[:, :, 3 + wx] = ord(",")
+    out[:, 1, 4 + wx:] = ys
+    out[1:, 0, 4 + wx:] = ys[:-1]
+    out[0, 0] = _PAD
+    out[0, 1, :3] = (_PAD, ord("M"), ord(" "))
+    return out.tobytes().replace(bytes([_PAD]), b"")
 
 
-def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> str:
-    """Static stepped risk-coverage plot on fixed [0,1] x [0,1] axes."""
+def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
+    """Static stepped risk-coverage plot on fixed [0,1] x [0,1] axes, as UTF-8 bytes."""
     left, right, top, bottom = 60.0, 440.0, 20.0, 320.0
 
     def x(cov: float) -> str:
@@ -161,8 +164,6 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> str:
 
     xs = _fixed2(left + (right - left) * np.asarray(curve.coverages, dtype=np.float64))
     ys = _fixed2(bottom - (bottom - top) * np.asarray(curve.risks, dtype=np.float64))
-    # one vertex pair per later point: across at the previous risk, then down to this one
-    path = _records("M ", xs[:1], ",", ys[:1]) + _records(" L ", xs[1:], ",", ys[:-1], " L ", xs[1:], ",", ys[1:])
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" viewBox="0 0 480 360">',
@@ -178,9 +179,11 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> str:
         parts.append(f'<text x="52" y="{gy}" font-family="monospace" font-size="10" text-anchor="end">{label}</text>')
     parts.append(f'<line x1="{x(0.0)}" y1="{y(0.0)}" x2="{x(1.0)}" y2="{y(0.0)}" stroke="#333333" stroke-width="1.5"/>')
     parts.append(f'<line x1="{x(0.0)}" y1="{y(0.0)}" x2="{x(0.0)}" y2="{y(1.0)}" stroke="#333333" stroke-width="1.5"/>')
-    parts.append(f'<path d="{path}" fill="none" stroke="#2a6f97" stroke-width="1.5"/>')
+    parts.append('<path d="{path}" fill="none" stroke="#2a6f97" stroke-width="1.5"/>')
     parts.append(f'<text x="250" y="14" font-family="monospace" font-size="12" text-anchor="middle">{safe_name(study)} / {safe_name(csf)}</text>')
     parts.append('<text x="250" y="354" font-family="monospace" font-size="11" text-anchor="middle">coverage</text>')
     parts.append('<text x="14" y="170" font-family="monospace" font-size="11" text-anchor="middle" transform="rotate(-90 14 170)">selective risk</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # the path's bytes go in once, between the encoded text before and after its {path} mark
+    head, _, tail = ("\n".join(parts) + "\n").partition("{path}")
+    return b"".join([head.encode(), _path_data(xs, ys), tail.encode()])

@@ -1,13 +1,17 @@
 import json
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import newclass_bundle, simple_bundle
+from fdeval.core import ALL_TAGS, NEWCLASS_TAGS
 from fdeval import (
     NEWCLASS,
     STANDARD,
@@ -177,6 +181,59 @@ def test_shift_csv_blank_lines(tmp_path):
     shift.write_text("IID\n\nIID\nIID\n")
     with pytest.raises(ShapeMismatch, match="line 2 is blank"):
         load_bundle(tmp_path / "b")
+
+
+def test_shift_csv_nul_byte_is_no_tag(tmp_path):
+    bundle = simple_bundle([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]], [1, 0, 0])
+    shift = write_bundle(bundle, tmp_path / "b") / "shift.csv"
+    shift.write_text("IID\nIID\x00\nIID\n")
+    with pytest.raises(LabelOutOfRange) as exc:
+        load_bundle(tmp_path / "b")
+    assert str(exc.value) == "shift: unknown tag 'IID\\x00' at row 1"
+
+
+def test_unknown_tag_message_is_the_whole_tag_as_a_plain_repr(tmp_path):
+    long_tag = "IID_" + "X" * 40
+    bundle = simple_bundle([[1.0, 2.0], [3.0, 4.0]], [1, 0])
+    shift = write_bundle(bundle, tmp_path / "b") / "shift.csv"
+    shift.write_text(f"IID\n  {long_tag} \n")
+    with pytest.raises(LabelOutOfRange) as exc:
+        load_bundle(tmp_path / "b")
+    assert str(exc.value) == f"shift: unknown tag {long_tag!r} at row 1"
+    with pytest.raises(LabelOutOfRange) as exc:
+        PredictionBundle(logits=np.eye(2), labels=np.zeros(2), shift_tags=np.array(["IID", long_tag]))
+    assert str(exc.value) == f"shift: unknown tag {long_tag!r} at row 1"
+
+
+line_ends = st.sampled_from(["\n", "\r\n"])
+padding = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ALL_TAGS), padding, padding), min_size=1, max_size=40),
+       line_ends, st.lists(padding, max_size=3), st.sets(st.sampled_from(ALL_TAGS), min_size=1),
+       st.integers(0, 2**32 - 1))
+def test_shift_codes_load_write_and_read_as_the_tag_strings(rows, end, trailing, study, seed):
+    tags = [tag for tag, _, _ in rows]
+    is_new = np.isin(tags, NEWCLASS_TAGS)
+    bundle = simple_bundle(np.tile([1.0, 0.0], (len(tags), 1)), np.where(is_new, 2, 0), tags=tags)
+    text = "".join(f"{left}{tag}{right}{end}" for tag, left, right in rows) + "".join(f"{t}{end}" for t in trailing)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = write_bundle(bundle, Path(tmp) / "a")
+        (directory / "shift.csv").write_bytes(text.encode())
+        loaded = load_bundle(directory)
+        # written back, the tags are the text the loader always wrote: one bare tag a line
+        written = write_bundle(loaded, Path(tmp) / "b") / "shift.csv"
+        assert written.read_bytes() == ("\n".join(tags) + "\n").encode()
+    assert loaded.shift_codes.dtype == np.uint8
+    assert loaded.shift_tags.tolist() == tags
+    assert np.array_equal(loaded.tagged(study), np.isin(loaded.shift_tags, list(study)))
+    mask = np.random.default_rng(seed).random(len(tags)) < 0.5
+    assert loaded.select(mask).shift_tags.tolist() == loaded.shift_tags[mask].tolist()
+    with pytest.raises(ValueError):
+        loaded.shift_tags[0] = "IID"
+    with pytest.raises(ValueError):
+        loaded.select(mask).shift_tags[...] = "IID"
 
 
 def test_nonfinite_logits_named_by_row():

@@ -113,7 +113,7 @@ def test_newclass_study_masks_and_counts():
 
 def test_newclass_study_keeping_no_newclass_row_raises():
     b = newclass_bundle()
-    b.shift_tags[np.isin(b.shift_tags, ["NEWCLASS_NONSEMANTIC"])] = "NEWCLASS_SEMANTIC"
+    b = simple_bundle(b.logits, b.labels, np.where(b.shift_tags == "NEWCLASS_NONSEMANTIC", "NEWCLASS_SEMANTIC", b.shift_tags))
     spec = StudySpec(name="ood", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_NONSEMANTIC"))
     # the filter keeps the six IID rows, so the study has no new-class row to rank
     with pytest.raises(EmptyNewClassStudy, match="^new-class study on a bundle with no new-class samples$"):
@@ -326,3 +326,30 @@ def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
         for scores in (shared, compute_csfs(b, ["mls"], cfg)):
             values = run_study(b, spec, scores).values
             assert {m: values[(spec.name, "mls", m)] for m in metrics} == want, spec.name
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_outcome_counts_give_the_wrapper_values(tied):
+    # run_study counts each tie group's failures once, off the residuals in sweep order; the
+    # wrappers count flags per group; both are exact integers, so the values are equal
+    workloads = load_fdbench_module("workloads")
+    b = workloads.generate(workloads.Shape(n=3000, c=5, tied_external=True), 17)
+    csfs = ["msr", "ext:tied"] if tied else ["msr", "pe"]
+    scores = compute_csfs(b, csfs)
+    if tied:
+        assert np.unique(scores["ext:tied"].scores).size < 200
+    metrics = ("auroc-f", "ap-f", "ap-f-err")
+    studies = [
+        StudySpec(name="all", metrics=metrics),
+        StudySpec(name="new", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC"), metrics=metrics),
+    ]
+    for spec in studies:
+        keep = np.isin(b.shift_tags, spec.shift_filter)
+        fl = failure_labels(b.select(keep), spec.kind)
+        values = run_study(b, spec, scores).values
+        assert run_study(b, spec, scores, predicted=np.argmax(b.logits, axis=1)).values == values
+        for csf in csfs:
+            conf = scores[csf].scores[keep]
+            assert values[(spec.name, csf, "auroc-f")] == auroc_f(conf, fl), (spec.name, csf)
+            assert values[(spec.name, csf, "ap-f")] == ap_f(conf, fl, positive="success"), (spec.name, csf)
+            assert values[(spec.name, csf, "ap-f-err")] == ap_f(conf, fl, positive="failure"), (spec.name, csf)

@@ -131,7 +131,7 @@ def test_render_rc_svg_matches_per_point_reference():
     assert set(X_TIES) <= set(to_x(cases["half-hundredths"].coverages).tolist())
     assert set(Y_TIES) <= set(to_y(cases["half-hundredths"].risks).tolist())
     for name, curve in cases.items():
-        assert render_rc_svg(curve, "a b", name) == per_point_render_rc_svg(curve, "a b", name), name
+        assert render_rc_svg(curve, "a b", name) == per_point_render_rc_svg(curve, "a b", name).encode(), name
 
 
 def fixed2_texts(v):
