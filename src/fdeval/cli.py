@@ -416,6 +416,9 @@ def main(argv=None) -> int:
     except (FdevalError, OSError) as exc:  # OSError: an output that cannot be created or written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's own subclass has a private name
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -94,6 +94,8 @@ def synthesize_highconf_bundle(
         raise InvalidParameter(f"n must be >= 1, got {n}")
     if c < 2:
         raise InvalidParameter(f"c must be >= 2, got {c}")
+    if n * c > np.iinfo(np.intp).max // 8:   # the f64 logits would need more bytes than numpy can index
+        raise InvalidParameter(f"n x c = {n} x {c} logits exceed the largest array numpy can index")
     if not (0.0 < failure_rate < 1.0):
         raise InvalidParameter(f"failure_rate must lie in (0, 1), got {failure_rate}")
     if not 0 <= gap_low <= gap_high < np.inf:    # a NaN fails every comparison

@@ -15,10 +15,19 @@ reduced-precision storage/compute can be reproduced exactly:
 
 numpy computes half +, - and / in float32 and rounds once, which gives the
 correctly rounded half (24 >= 2 * 11 + 2); half exp is not, so it runs in f64.
+
+The MC-dropout pass runs over cache-sized row blocks (about 1 MB of f64 each)
+on one thread per CPU in the process's affinity mask; there is no flag or
+environment variable for it. Every step works row by row and each block writes
+only its own rows, so the scores are bitwise the same on any number of
+threads. These row-wise threads run before maha, whose BLAS calls leave
+worker threads spinning that would slow them down.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +98,12 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
 
     Returns f64 arrays whose values lie on the configured precision grid.
     """
-    cfg = cfg or SoftmaxConfig()
+    return _softmax(logits, cfg or SoftmaxConfig())
+
+
+def _softmax(logits: np.ndarray, cfg: SoftmaxConfig) -> np.ndarray:
+    """softmax at a given cfg. Worker threads call this name: fdbench's tracer replaces softmax with
+    a wrapper that keeps one unlocked span stack."""
     dtype = _DTYPES[cfg.precision]
     # a logit beyond the precision's range casts to inf, as does one divided by a tiny
     # temperature, and inf - inf gives a NaN probability; callers report its row, so
@@ -149,17 +163,23 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
         raise InvalidParameter(f"maha: features {feats.shape} and labels {labels.shape} do not align")
     if feats.shape[1] == 0:
         raise InvalidParameter("maha: features have zero width")
-    class_ids = np.unique(labels)
+    class_ids, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if class_ids.size < 1:
         raise ClassUnderpopulated("maha: no training rows")
+    if counts.min() < 2:
+        k = int(np.argmax(counts < 2))
+        raise ClassUnderpopulated(f"maha: class {class_ids[k]} has {counts[k]} rows, need at least 2")
+    # each class's rows as one contiguous slice, in their original order, so that every mean adds
+    # the same rows in the same order as a mask would (np.add.reduceat does not)
+    grouped = feats[np.argsort(inverse, kind="stable")]
     means = np.empty((class_ids.size, feats.shape[1]))
-    centered = np.empty_like(feats)
-    for k, cls in enumerate(class_ids):
-        rows = labels == cls
-        if rows.sum() < 2:
-            raise ClassUnderpopulated(f"maha: class {cls} has {int(rows.sum())} rows, need at least 2")
-        means[k] = feats[rows].mean(axis=0)
-        centered[rows] = feats[rows] - means[k]
+    ends = np.cumsum(counts)
+    for k, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        np.add.reduce(grouped[lo:hi], axis=0, out=means[k])
+    del grouped
+    means /= counts[:, None]
+    centered = means[inverse]
+    np.subtract(feats, centered, out=centered)
     cov = centered.T @ centered / feats.shape[0]
     lam = 1e-6 * np.trace(cov) / feats.shape[1] if ridge is None else float(ridge)
     cov = cov + lam * np.eye(feats.shape[1])
@@ -180,10 +200,17 @@ class MahaModel:
     ridge: float
 
 
-# f64 elements per block: rows x classes of maha's expanded distances, (row,
-# class) pairs x dim of its refined differences, or rows x passes x classes of
-# MC-dropout probabilities; 2**20 elements keep a block at 8 MB.
+# f64 elements per block: rows x classes of maha's expanded distances, or (row,
+# class) pairs x dim of its refined differences; 2**20 elements keep a block at
+# 8 MB. The block sets the row count of each GEMM, and with it OpenBLAS's kernel
+# and so the bits, so it stays.
 _BLOCK = 1 << 20
+# f64 elements per block of the row-wise passes of _map_rows (rows x passes x
+# classes of MC-dropout probabilities): 1 MB, so that a block and its
+# temporaries stay in cache. The four softmax MC CSFs of scores-wide took
+# 61 ms with 8 MB blocks and 46 ms with these on one thread, 28 ms on two
+# (medians of 31, 2-core VM).
+_ROW_BLOCK = 1 << 17
 # Relative margin of the candidate pick. The expanded distance of row i to
 # class c differs from the difference form by cancellation and whitening
 # error, measured at about u * cond(L) * (|z_i|^2 + max_c |m_c|^2), u = 1.1e-16.
@@ -196,8 +223,45 @@ _BLOCK = 1 << 20
 _MAHA_MARGIN = 1e-8
 
 
-def _rows_per_block(width: int) -> int:
-    return max(1, _BLOCK // max(width, 1))
+def _rows_per_block(width: int, block: int = _BLOCK) -> int:
+    return max(1, block // max(width, 1))
+
+
+def _workers() -> int:
+    """Threads of _map_rows: one per CPU this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map_rows(fn, n: int, width: int) -> None:
+    """Call fn(lo, hi) for each block of rows of range(n), _ROW_BLOCK // width rows a block, on _workers() threads.
+
+    fn must write rows lo:hi of preallocated outputs from rows lo:hi of its inputs, so the bytes do
+    not depend on which thread runs a block. Worker k of w takes blocks k, k + w, ...; this thread is
+    worker 0, and no thread starts for a single block. numpy's error state is per thread, so each
+    worker takes the caller's. Once every worker has stopped, the first error, by worker, is raised.
+    """
+    step = _rows_per_block(width, _ROW_BLOCK)
+    starts = range(0, n, step)
+    workers = max(1, min(_workers(), len(starts)))
+    errstate, errors = np.geterr(), [None] * workers
+
+    def work(k: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                for lo in starts[k::workers]:
+                    fn(lo, min(lo + step, n))
+        except BaseException as exc:   # raised in the caller, below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _whiten(rows: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
@@ -263,50 +327,67 @@ class CsfScores(dict):
     probs: np.ndarray | None = None
 
 
+def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.ndarray]:
+    """The MC-dropout scores among csf_ids, from one read of the (n, t, c) stack in row blocks.
+
+    Per block: the softmax of every pass, their mean over passes, the entropies of both, and the
+    logits' mean over passes for mcd-mls. Every step works row by row, so a block gives the bits of
+    the whole stack, and only a block's temporaries are held per thread.
+    """
+    n, t, c = stack.shape
+    wanted = {MCD_MSR, MCD_PE, MCD_EE, MCD_MI, MCD_MLS}.intersection(csf_ids)
+    if not wanted:
+        return {}
+    msr = np.empty(n) if MCD_MSR in wanted else None
+    expected_entropy = np.empty(n) if not {MCD_EE, MCD_MI}.isdisjoint(wanted) else None
+    predictive_entropy = np.empty(n) if not {MCD_PE, MCD_MI}.isdisjoint(wanted) else None
+    mls = np.empty(n) if MCD_MLS in wanted else None
+
+    def block(lo: int, hi: int) -> None:
+        if mls is not None:
+            np.max(np.mean(stack[lo:hi], axis=1), axis=-1, out=mls[lo:hi])
+        if wanted == {MCD_MLS}:
+            return
+        p_mc = _softmax(stack[lo:hi], cfg)
+        if expected_entropy is not None:
+            np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:hi])
+        mean_p = np.mean(p_mc, axis=1)
+        del p_mc
+        if msr is not None:
+            np.max(mean_p, axis=-1, out=msr[lo:hi])
+        if predictive_entropy is not None:
+            predictive_entropy[lo:hi] = _entropy(mean_p)
+
+    _map_rows(block, n, t * c)
+    formulas = {
+        MCD_MSR: lambda: msr,
+        MCD_PE: lambda: -predictive_entropy,
+        MCD_EE: lambda: -expected_entropy,
+        MCD_MI: lambda: -(predictive_entropy - expected_entropy),  # predictive minus expected entropy, negated
+        MCD_MLS: lambda: mls,
+    }
+    return {csf_id: formulas[csf_id]() for csf_id in wanted}
+
+
 def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None, keep_probs: bool = False) -> CsfScores:
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
     One logits softmax feeds msr and pe, and the result holds it as probs when keep_probs asks for it
-    (for nll and brier); one MC-dropout softmax, its mean over passes and the entropies of both feed
-    mcd-msr, mcd-pe, mcd-ee and mcd-mi. maha is fitted once, on the inlier-labeled rows. The result
-    records cfg, the softmax configuration it was scored at.
+    (for nll and brier); one row-blocked pass over the MC-dropout stack feeds every mcd- CSF. maha
+    is fitted once, on the inlier-labeled rows, and scored last. The result records cfg, the softmax
+    configuration it was scored at.
     """
     cfg = cfg or SoftmaxConfig()
-    p = mean_p = expected_entropy = predictive_entropy = None
-    if keep_probs or not {MSR, PE}.isdisjoint(csf_ids):
-        p = softmax(bundle.logits, cfg)
-    if not {MCD_MSR, MCD_PE, MCD_EE, MCD_MI}.isdisjoint(csf_ids) and bundle.mcd_logits is not None:
-        # per pass, then aggregate; every step works row by row, so a block of rows
-        # gives the same bits as the whole stack and holds one block of temporaries
-        n, t, c = bundle.mcd_logits.shape
-        mean_p = np.empty((n, c))
-        if not {MCD_EE, MCD_MI}.isdisjoint(csf_ids):
-            expected_entropy = np.empty(n)
-        if not {MCD_PE, MCD_MI}.isdisjoint(csf_ids):
-            predictive_entropy = np.empty(n)
-        step = _rows_per_block(t * c)
-        for lo in range(0, n, step):
-            p_mc = softmax(bundle.mcd_logits[lo:lo + step], cfg)
-            np.mean(p_mc, axis=1, out=mean_p[lo:lo + step])
-            if expected_entropy is not None:
-                np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:lo + step])
-            del p_mc
-            if predictive_entropy is not None:
-                predictive_entropy[lo:lo + step] = _entropy(mean_p[lo:lo + step])
+    p = softmax(bundle.logits, cfg) if keep_probs or not {MSR, PE}.isdisjoint(csf_ids) else None
+    mc = {} if bundle.mcd_logits is None else _mc_scores(bundle.mcd_logits, cfg, csf_ids)
     formulas = {
         MSR: lambda: np.max(p, axis=-1),
         PE: lambda: -_entropy(p),
         MLS: lambda: np.max(bundle.logits, axis=-1),
-        MCD_MSR: lambda: np.max(mean_p, axis=-1),
-        MCD_PE: lambda: -predictive_entropy,
-        MCD_EE: lambda: -expected_entropy,
-        MCD_MI: lambda: -(predictive_entropy - expected_entropy),  # predictive minus expected entropy, negated
-        MCD_MLS: lambda: np.max(np.mean(bundle.mcd_logits, axis=1), axis=-1),
     }
 
     out = CsfScores()
     out.cfg = cfg
-    out.probs = p if keep_probs else None   # held for the whole run, so only when a study reads it
     for csf_id in csf_ids:
         if csf_id.startswith(EXTERNAL_PREFIX):
             name = csf_id[len(EXTERNAL_PREFIX):]
@@ -318,17 +399,23 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         elif csf_id == MAHA:
             if bundle.features is None:
                 raise MissingFeatures("maha requires bundle features")
-            inlier = bundle.labels != bundle.ood_label    # one fit, so a row has one maha score in every study
-            model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
-            out[csf_id] = score_mahalanobis(model, bundle.features)
+            out[csf_id] = None   # scored below, keeping its place in the order
         elif csf_id.startswith("mcd-") and bundle.mcd_logits is None:
             raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
         else:
             logits = bundle.mcd_logits if csf_id.startswith("mcd-") else bundle.logits
-            scores = _nan_free(formulas[csf_id](), csf_id, logits, cfg)
+            scores = _nan_free(mc[csf_id] if csf_id in mc else formulas[csf_id](), csf_id, logits, cfg)
             # mls and mcd-mls are maxima of the f64 logits; no softmax, so no reduced precision
             precision = F64 if csf_id in (MLS, MCD_MLS) else cfg.precision
             out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=precision)
+    out.probs = p if keep_probs else None   # held for the whole run, so only when a study reads it
+    # maha last: its temporaries then do not stack on the softmax's, and its GEMMs leave BLAS
+    # threads spinning, which slowed an MC pass started right after one from 28 to 49 ms
+    del p, formulas
+    if MAHA in out:
+        inlier = bundle.labels != bundle.ood_label    # one fit, so a row has one maha score in every study
+        model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
+        out[MAHA] = score_mahalanobis(model, bundle.features)
     return out
 
 

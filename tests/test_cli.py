@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import fdeval.cli
-import fdeval.protocol
 import fdeval.scores
 from conftest import REPO, load_fdbench_module, simple_bundle
 from fdeval import CSF_IDS, PredictionBundle, compute_csf, load_bundle, write_bundle
@@ -243,6 +242,30 @@ def test_library_errors_exit_1(tmp_path):
     assert run(["evaluate", "--bundle", d]) == 1
 
 
+def test_synthetic_audit_too_big_for_numpy_exits_2(tmp_path, capsys):
+    # n x c f64 logits beyond numpy's largest array: refused before anything is allocated
+    assert run(["precision-audit", "--synthetic", "--n", "100", "--c", str(10**18), "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n x c = 100 x 1000000000000000000") and len(err.splitlines()) == 1
+
+
+class ArrayMemoryError(MemoryError):
+    """Stands in for numpy's privately named subclass."""
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), ArrayMemoryError(
+    "Unable to allocate 74.5 GiB for an array with shape (100, 100000000) and data type float64")])
+def test_memory_error_exits_1_with_one_line(exc, toy_bundle_dir, tmp_path, monkeypatch, capsys):
+    # raised in place of an allocation, so nothing large is ever asked for
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(fdeval.cli, "audit", out_of_memory)
+    assert run(["precision-audit", "--bundle", toy_bundle_dir, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError") and len(err.splitlines()) == 1
+
+
 # the toy logits with the first one beyond the largest half, 65504
 TOY_LOGITS_F16_OVERFLOW = "70000,0,-1\n0.5,1.5,0\n1,2,0\n0.2,0.1,0\n"
 
@@ -462,16 +485,16 @@ def write_workload(tmp_path, name, config=None):
 
 @pytest.mark.parametrize("workload, calls", [("scores-wide", 2), ("ranking-100k", 1), ("calibration-100k", 1)])
 def test_evaluate_softmaxes_each_logits_array_once(workload, calls, tmp_path, monkeypatch):
-    # the logits and the MC stack once each: a study's nll and brier read its rows off the CSFs' logits softmax
+    # the logits and the MC stack once each: a study's nll and brier read its rows off the CSFs' logits softmax;
+    # softmax and the MC pass's threads both call _softmax, and this small MC stack is one block
     counted = []
-    real = fdeval.scores.softmax
+    real = fdeval.scores._softmax
 
     def counting(*args, **kwargs):
         counted.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fdeval.scores, "softmax", counting)
-    monkeypatch.setattr(fdeval.protocol, "softmax", counting)
+    monkeypatch.setattr(fdeval.scores, "_softmax", counting)
     assert run(["evaluate", "--config", write_workload(tmp_path, workload)]) == 0
     assert len(counted) == calls
 

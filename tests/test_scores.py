@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+import fdeval
 import fdeval.scores
 from conftest import simple_bundle
 from fdeval import (
     ConfidenceVector,
+    PredictionBundle,
     SoftmaxConfig,
     compute_csf,
     compute_csfs,
@@ -278,6 +285,71 @@ def test_mahalanobis_class_underpopulated():
     feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ClassUnderpopulated, match="class 1"):
         fit_mahalanobis(feats, np.array([0, 0, 1]))
+
+
+def mask_loop_fit(feats, labels):
+    """fit_mahalanobis's class means and covariance as they were first written: one boolean mask per class."""
+    labels = labels.astype(np.int64)
+    class_ids = np.unique(labels)
+    means = np.empty((class_ids.size, feats.shape[1]))
+    centered = np.empty_like(feats)
+    for k, cls in enumerate(class_ids):
+        rows = labels == cls
+        if rows.sum() < 2:
+            raise ClassUnderpopulated(f"maha: class {cls} has {int(rows.sum())} rows, need at least 2")
+        means[k] = feats[rows].mean(axis=0)
+        centered[rows] = feats[rows] - means[k]
+    cov = centered.T @ centered / feats.shape[0]
+    lam = 1e-6 * np.trace(cov) / feats.shape[1]
+    return class_ids, means, np.linalg.cholesky(cov + lam * np.eye(feats.shape[1])), lam
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mahalanobis_fit_is_bitwise_the_mask_loop(seed):
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+    n = int(rng.integers(2 * k + 3, 400))
+    ids = rng.choice(np.arange(-50, 1000), size=k, replace=False)   # shuffled, with gaps and a negative
+    labels = ids[rng.permutation(np.arange(n) % k)]
+    feats = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, d) + rng.normal(0, 5, d)
+    feats = np.asfortranarray(feats) if seed % 2 else feats                # column-major too
+    want_ids, want_means, want_chol, want_ridge = mask_loop_fit(np.ascontiguousarray(feats), labels)
+    got = fit_mahalanobis(feats, labels)
+    assert got.class_ids.tobytes() == want_ids.tobytes()
+    assert got.means.tobytes() == want_means.tobytes()
+    assert got.chol_lower.tobytes() == want_chol.tobytes()
+    assert got.ridge == want_ridge
+    # a class left with one row: the first such class by id, and its count, as the loop named them
+    labels[labels == ids[-1]] = ids[0]
+    labels[np.flatnonzero(labels == ids[0])[0]] = 1000 + seed
+    labels[np.flatnonzero(labels == ids[0])[0]] = -60
+    with pytest.raises(ClassUnderpopulated) as want:
+        mask_loop_fit(feats, labels)
+    with pytest.raises(ClassUnderpopulated) as got:
+        fit_mahalanobis(feats, labels)
+    assert str(got.value) == str(want.value) == "maha: class -60 has 1 rows, need at least 2"
+
+
+def test_scoring_maha_leaves_numpy_ma_unimported():
+    # np.unique without return_inverse imports numpy.ma on numpy 2.x, about 17 ms of every fresh evaluate
+    code = (
+        "import sys, numpy as np\n"
+        "if 'numpy.ma' in sys.modules: sys.exit(3)\n"
+        "import fdeval\n"
+        "rng = np.random.default_rng(0)\n"
+        "labels = np.arange(40) % 4\n"
+        "feats = rng.normal(size=(4, 3))[labels] + rng.normal(size=(40, 3))\n"
+        "b = fdeval.validate_bundle(fdeval.PredictionBundle(logits=rng.normal(size=(40, 4)), labels=labels,\n"
+        "                                                   shift_tags=['IID'] * 40, features=feats))\n"
+        "fdeval.compute_csfs(b, ['maha'])\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(fdeval.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("import numpy loads numpy.ma on this numpy")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mahalanobis_dimension_guards():
@@ -613,11 +685,13 @@ def ten_row_mc_bundle(seed=47, c=6, t=4):
     return simple_bundle(logits, np.arange(10) % c, mcd_logits=mcd)
 
 
-def three_row_blocks(monkeypatch) -> list[int]:
-    """Blocks of 3 rows, which do not divide 10; returns the rows of each MC softmax call as they happen."""
-    rows, real = [], fdeval.scores.softmax
-    monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width: 3)
-    monkeypatch.setattr(fdeval.scores, "softmax", lambda x, cfg: rows.append(x.shape[0]) or real(x, cfg))
+def three_row_blocks(monkeypatch, workers=1) -> list[int]:
+    """Blocks of 3 rows, which do not divide 10, on the given number of threads; returns the rows of
+    each MC softmax call as they happen (in block order on one thread)."""
+    rows, real = [], fdeval.scores._softmax
+    monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width, block=None: 3)
+    monkeypatch.setattr(fdeval.scores, "_workers", lambda: workers)
+    monkeypatch.setattr(fdeval.scores, "_softmax", lambda x, cfg: rows.append(x.shape[0]) or real(x, cfg))
     return rows
 
 
@@ -644,6 +718,69 @@ def test_blocked_mc_pass_names_the_global_row(precision, temperature, logit, err
     with pytest.raises(error, match=message):
         compute_csfs(b, MC_SOFTMAX_CSFS, SoftmaxConfig(precision=precision, temperature=temperature))
     assert rows == [3, 3, 3, 1]
+
+
+@pytest.mark.parametrize("precision, temperature, logit, error, message", [
+    (F16, 1.0, 1e5, NonFiniteValue, "mcd-msr: NaN score at row 7"),
+    (F64, 1e-300, 1e9, InvalidParameter, "overflows the f64 logits of row 7"),
+])
+def test_threaded_mc_pass_names_the_global_row(precision, temperature, logit, error, message, monkeypatch):
+    b = ten_row_mc_bundle()
+    b.mcd_logits[7, 2, 1] = logit   # the third block, which the second thread takes
+    rows = three_row_blocks(monkeypatch, workers=2)
+    with pytest.raises(error, match=message):
+        compute_csfs(b, MC_SOFTMAX_CSFS, SoftmaxConfig(precision=precision, temperature=temperature))
+    assert sorted(rows) == [1, 3, 3, 3]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_worker_count_does_not_change_the_bytes(precision, monkeypatch):
+    # 97 rows of 5 passes x 7 classes in blocks of 3 rows: 33 blocks, the last of one row
+    b = scored_bundle(seed=53, n=97, c=7, t=5, d=6)
+    cfg = SoftmaxConfig(precision=precision, temperature=1.3)
+    monkeypatch.setattr(fdeval.scores, "_ROW_BLOCK", 3 * 5 * 7)
+    got = {}
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)   # threads swap often; 8 of them is more than the cores
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(fdeval.scores, "_workers", lambda workers=workers: workers)
+            got[workers] = compute_csfs(b, list(CSF_IDS), cfg)
+    finally:
+        sys.setswitchinterval(switch)
+    for csf in CSF_IDS:
+        assert got[2][csf].scores.tobytes() == got[8][csf].scores.tobytes() == got[1][csf].scores.tobytes(), csf
+        assert got[1][csf].scores.tobytes() == old_compute_csf(b, csf, cfg)[0].tobytes(), csf
+
+
+def test_workers_take_the_callers_error_state_and_raise_in_it(monkeypatch):
+    # numpy's error state is per thread, so an overflow on the second thread raises only if that
+    # thread took the caller's state; its error then ends compute_csfs in the caller
+    b = ten_row_mc_bundle()
+    three_row_blocks(monkeypatch, workers=2)   # blocks 0 and 2 here, 1 and 3 on the second thread
+    real = fdeval.scores._entropy
+
+    def overflowing_off_the_caller(p):
+        if threading.current_thread() is not threading.main_thread():
+            np.array([1e308]) * 10.0
+        return real(p)
+
+    monkeypatch.setattr(fdeval.scores, "_entropy", overflowing_off_the_caller)
+    with pytest.raises(FloatingPointError, match="overflow"), np.errstate(over="raise"):
+        compute_csfs(b, ["mcd-ee"])
+
+
+def test_map_rows_starts_no_thread_for_one_block_or_no_rows(monkeypatch):
+    monkeypatch.setattr(fdeval.scores, "_workers", lambda: 2)
+    monkeypatch.setattr(fdeval.scores.threading, "Thread", lambda *a, **k: pytest.fail("started a thread"))
+    blocks = []
+    fdeval.scores._map_rows(lambda lo, hi: blocks.append((lo, hi)), 5, 10)
+    fdeval.scores._map_rows(lambda lo, hi: blocks.append((lo, hi)), 0, 10)
+    assert blocks == [(0, 5)]
+    # an empty bundle, which validate_bundle would refuse
+    b = PredictionBundle(logits=np.empty((0, 3)), labels=np.empty(0, dtype=np.int64), shift_tags=[],
+                         mcd_logits=np.empty((0, 2, 3)))
+    assert all(v.scores.shape == (0,) for v in compute_csfs(b, MC_SOFTMAX_CSFS + ["mcd-mls"]).values())
 
 
 
