@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .core import ALL_TAGS, STANDARD, failure_labels, load_bundle, predictions
+from .core import ALL_TAGS, STANDARD, failure_labels, load_bundle
 from .errors import FdevalError, InvalidParameter
 from .metrics import aurc, rc_curve
 from .oracle import aurc_oracle, auroc_oracle
@@ -247,10 +247,9 @@ def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
         svgs.append(_write(rc, _svg_name(study, csf), render_rc_svg(curve, study, csf)))
 
     on_curve = write_svg if "svg" in rc.emit else None
-    predicted = predictions(bundle)  # the bundle's argmax, once for every study
     report = MetricReport()
     for spec in studies:
-        report.merge(run_study(bundle, spec, scores, ece_bins=rc.ece_bins, on_curve=on_curve, predicted=predicted))
+        report.merge(run_study(bundle, spec, scores, ece_bins=rc.ece_bins, on_curve=on_curve))
     rank_table(report)
 
     written = []
@@ -325,13 +324,12 @@ def cmd_precision_audit(rc: RunConfig, args) -> list[Path]:
 
 def cmd_verify(rc: RunConfig, args) -> list[Path]:
     bundle = _require_bundle(rc)
-    predicted = predictions(bundle)
-    fl = failure_labels(bundle, STANDARD, predicted=predicted)
+    fl = failure_labels(bundle, STANDARD)
     csfs = args.csf or rc.csfs
     # the values evaluate writes for an all-rows standard study, checked against the oracles
     scores = compute_csfs(bundle, csfs, rc.softmax)
     spec = StudySpec(name="verify", kind=STANDARD, metrics=("aurc", "auroc-f"))
-    values = run_study(bundle, spec, scores, predicted=predicted).values
+    values = run_study(bundle, spec, scores).values
     aurc_dev = auroc_dev = 0.0
     for csf, vec in scores.items():
         ref = aurc_oracle(vec.scores, fl.residuals, fl.eval_mask)

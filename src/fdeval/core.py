@@ -25,6 +25,7 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,13 @@ class PredictionBundle:
     def tagged(self, tags) -> np.ndarray:
         """Boolean mask of the rows whose shift tag is one of tags, read off a table over the codes."""
         return np.isin(ALL_TAGS, list(tags))[self.shift_codes]
+
+    @cached_property
+    def predicted(self) -> np.ndarray:
+        """Predicted class per row, argmax over logits with the lowest index on ties: taken once, read-only."""
+        predicted = np.argmax(self.logits, axis=1)
+        predicted.flags.writeable = False
+        return predicted
 
     @property
     def n_samples(self) -> int:
@@ -347,12 +355,11 @@ def write_bundle(bundle: PredictionBundle, path: str | Path, binary: bool = Fals
 
 
 def predictions(bundle: PredictionBundle) -> np.ndarray:
-    """Predicted class per row: argmax over logits, lowest index on ties."""
-    return np.argmax(bundle.logits, axis=1)
+    """Predicted class per row: bundle.predicted, the argmax over logits, lowest index on ties."""
+    return bundle.predicted
 
 
-def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
-                   rows: np.ndarray | None = None, predicted: np.ndarray | None = None) -> FailureLabels:
+def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD, rows: np.ndarray | None = None) -> FailureLabels:
     """Residuals (1 = wrong prediction) plus the study's evaluation mask.
 
     New-class samples carry the sentinel label c and therefore always count as
@@ -364,14 +371,12 @@ def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD,
 
     rows, when given, picks the bundle rows of a study, as a boolean mask or
     as indices: the labels are those of the bundle of just those rows, read
-    without copying the bundle's rows. predicted, when given, is
-    predictions(bundle), taken once for a run of several studies.
+    without copying the bundle's rows.
     """
     if study_kind not in STUDY_KINDS:
         raise ValueError(f"unknown study kind {study_kind!r}")
     sel = slice(None) if rows is None else rows
-    predicted = predictions(bundle) if predicted is None else predicted
-    residuals = (predicted != bundle.labels)[sel].astype(np.int8)
+    residuals = (bundle.predicted != bundle.labels)[sel].astype(np.int8)
     eval_mask = np.ones(residuals.shape[0], dtype=bool)
     if study_kind == NEWCLASS:
         if not (bundle.labels == bundle.ood_label)[sel].any():

@@ -10,14 +10,15 @@ absorbed. The companion oracle module re-implements the same sweep point by
 point; the two must agree to 1e-12.
 
 Every ranking metric is a statistic of that one sweep. `_Sweep` sorts the
-confidences once and cuts them into tie groups; the curve, the midrank AUROC
-and both average precisions are read off the groups, and the optimal curve
-behind E-AURC is built from presorted residuals without a sort.
+confidences once, cuts them into tie groups and carries the residuals in sweep
+order; SWEEP_METRICS, which every caller reads, states each metric once as a
+read of a sweep. The optimal curve behind E-AURC needs no sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +41,13 @@ def _conf_array(scores) -> np.ndarray:
 
 
 def _residuals_and_mask(failure) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(failure, FailureLabels):
-        return failure.residuals.astype(np.int64), failure.eval_mask.astype(bool)
-    res = np.asarray(failure).astype(np.int64).reshape(-1)
-    return res, np.ones(res.shape[0], dtype=bool)
+    """The residuals, each 0 or 1, as int64, and the evaluation mask, all rows for a bare array."""
+    res, mask = (failure.residuals, failure.eval_mask) if isinstance(failure, FailureLabels) else (failure, None)
+    res = np.asarray(res).reshape(-1)
+    bad = np.flatnonzero((res != 0) & (res != 1))
+    if bad.size:
+        raise LabelOutOfRange(f"residuals must be 0 or 1, got {res[bad[0]]} at row {bad[0]}")
+    return res.astype(np.int64), np.ones(res.shape[0], dtype=bool) if mask is None else mask.astype(bool)
 
 
 def _masked(scores, failure) -> tuple[np.ndarray, np.ndarray]:
@@ -88,13 +92,13 @@ def _curve(res: np.ndarray, starts: np.ndarray) -> RiskCoverageCurve:
 
 
 class _Sweep:
-    """Confidences in ascending order, ties by index, cut into tie groups.
+    """Confidences in ascending order, ties by index, cut into tie groups, with their residuals in that order.
 
-    Label vectors passed to the methods are in the row order of the
-    confidences the sweep was built from.
+    res and the flags passed to counts are in the row order of conf; the
+    failures per tie group and the curve are built when first read.
     """
 
-    def __init__(self, conf: np.ndarray):
+    def __init__(self, conf: np.ndarray, res: np.ndarray):
         # numpy's default sort is several times faster than kind="stable" but
         # leaves equal values, and the NaNs it sorts last, in any order; one
         # integer sort of (run, index) keys over those rows puts each run back
@@ -112,13 +116,19 @@ class _Sweep:
             keys.sort()
             order[tied] = keys % n
         self.order = order
+        self.res = res[order]
+
+    @cached_property
+    def failures(self) -> np.ndarray:
+        return np.add.reduceat(self.res, self.starts, dtype=np.int64)
+
+    @cached_property
+    def curve(self) -> RiskCoverageCurve:
+        return _curve(self.res, self.starts)
 
     def counts(self, flags: np.ndarray) -> np.ndarray:
         """The number of set flags in each tie group, the input of auroc and ap."""
         return np.add.reduceat(flags[self.order], self.starts, dtype=np.int64)
-
-    def curve(self, res: np.ndarray) -> RiskCoverageCurve:
-        return _curve(res[self.order], self.starts)
 
     def auroc(self, pos: np.ndarray) -> float:
         """Mann-Whitney AUROC with half credit per tied pair, via midranks, of pos positives per tie group."""
@@ -144,16 +154,24 @@ class _Sweep:
         return float(np.sum(tp * precision) / n_pos)
 
 
-def rc_curve(scores, failure) -> RiskCoverageCurve:
-    """Risk-coverage curve of a confidence vector against failure labels."""
-    conf, res = _masked(scores, failure)
-    return _Sweep(conf).curve(res)
-
-
 def aurc(curve: RiskCoverageCurve) -> float:
     """Area under the risk-coverage curve, lower is better."""
     r = curve.risks
     return float(np.sum(curve.weights * (r[:-1] + r[1:]) * 0.5))
+
+
+# the ranking metrics of one sweep; successes per tie group are its sizes less its failures
+SWEEP_METRICS = {
+    "aurc": lambda sweep: aurc(sweep.curve),
+    "auroc-f": lambda sweep: sweep.auroc(sweep.sizes - sweep.failures),
+    "ap-f": lambda sweep: sweep.ap(sweep.sizes - sweep.failures, descending=True),
+    "ap-f-err": lambda sweep: sweep.ap(sweep.failures, descending=False),
+}
+
+
+def rc_curve(scores, failure) -> RiskCoverageCurve:
+    """Risk-coverage curve of a confidence vector against failure labels."""
+    return _Sweep(*_masked(scores, failure)).curve
 
 
 def _optimal_aurc(res: np.ndarray) -> float:
@@ -178,24 +196,14 @@ def e_aurc(curve: RiskCoverageCurve, failure) -> float:
 
 def auroc_f(scores, failure) -> float:
     """Failure-detection AUROC: successes as positives, higher is better."""
-    conf, res = _masked(scores, failure)
-    sweep = _Sweep(conf)
-    return sweep.auroc(sweep.counts(res == 0))
+    return SWEEP_METRICS["auroc-f"](_Sweep(*_masked(scores, failure)))
 
 
 def auroc_out(scores, outlier_labels, mask=None) -> float:
-    """Outlier-detection AUROC with inliers as positives."""
-    conf = _conf_array(scores)
-    out = np.asarray(outlier_labels).astype(np.int64).reshape(-1)
-    if conf.shape != out.shape:
-        raise ShapeMismatch(f"scores {conf.shape} and outlier labels {out.shape} do not align")
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        conf, out = conf[keep], out[keep]
-    if conf.shape[0] == 0:
-        raise EmptyEvaluationSet("no samples left after masking")
-    sweep = _Sweep(conf)
-    return sweep.auroc(sweep.counts(out == 0))
+    """Outlier-detection AUROC with inliers as positives: auroc-f with the 0/1 outlier labels as residuals."""
+    out = np.asarray(outlier_labels).reshape(-1)
+    keep = np.ones(out.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return SWEEP_METRICS["auroc-f"](_Sweep(*_masked(scores, FailureLabels(residuals=out, eval_mask=keep))))
 
 
 def ap_f(scores, failure, positive: str = "success") -> float:
@@ -208,10 +216,7 @@ def ap_f(scores, failure, positive: str = "success") -> float:
     conf, res = _masked(scores, failure)
     if positive not in ("success", "failure"):
         raise ValueError(f"positive must be 'success' or 'failure', got {positive!r}")
-    sweep = _Sweep(conf)
-    if positive == "success":
-        return sweep.ap(sweep.counts(res == 0), descending=True)
-    return sweep.ap(sweep.counts(res == 1), descending=False)
+    return SWEEP_METRICS["ap-f" if positive == "success" else "ap-f-err"](_Sweep(conf, res))
 
 
 def accuracy(failure) -> float:

@@ -16,9 +16,9 @@ import numpy as np
 
 from .core import PredictionBundle, ShiftTag, failure_labels, validate_bundle
 from .errors import EmptyEvaluationSet, InvalidParameter
-# rc_curve and auroc_f are not called here (audit reads both off one _Sweep);
-# fdbench/tracing.py binds fdeval.precision_audit.rc_curve and .auroc_f by name
-from .metrics import _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
+# aurc, rc_curve and auroc_f are not called here (audit reads SWEEP_METRICS off one _Sweep);
+# fdbench/tracing.py binds fdeval.precision_audit.aurc, .rc_curve and .auroc_f by name
+from .metrics import SWEEP_METRICS, _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
 from .scores import PRECISIONS, SoftmaxConfig, _nan_free, quantize, softmax
 
 # A runner-up class is kept within this many nats of the top logit so that an
@@ -59,7 +59,7 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
     """
     if bundle.n_samples == 0:
         raise EmptyEvaluationSet("no samples to audit")
-    res = failure_labels(bundle).residuals.astype(np.int64)
+    res = failure_labels(bundle).residuals
     report = PrecisionAuditReport(precisions=list(PRECISIONS))
     for p in PRECISIONS:
         logits = quantize(bundle.logits, p) if quantize_storage else bundle.logits
@@ -67,9 +67,9 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
         # a logit beyond f16's range stores as inf, and its row's msr is NaN
         msr = _nan_free(np.max(softmax(logits, cfg), axis=-1), f"{p} msr", logits, cfg)
         report.round_to_one_rate[p] = float(np.mean(_rounds_to_one(msr, logits)))
-        sweep = _Sweep(msr)
-        report.aurc[p] = aurc(sweep.curve(res))
-        report.auroc_f[p] = sweep.auroc(sweep.counts(res == 0))
+        sweep = _Sweep(msr, res)
+        report.aurc[p] = SWEEP_METRICS["aurc"](sweep)
+        report.auroc_f[p] = SWEEP_METRICS["auroc-f"](sweep)
         report.accuracy[p] = float(np.mean(np.argmax(logits, axis=1) == bundle.labels))
     return report
 

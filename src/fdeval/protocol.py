@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import (
     NEWCLASS,
     NEWCLASS_TAGS,
@@ -88,10 +86,10 @@ class MetricReport:
         return self
 
 
-def _ece_of(conf: np.ndarray, flabels, bins: int) -> float:
-    """ECE of the raw scores if they lie in [0, 1], else of their Platt fit."""
+def _ece_of(conf, res, bins: int) -> float:
+    """ECE of the evaluated confidences against their residuals, of a Platt fit unless they lie in [0, 1]."""
     raw = conf.min() >= 0.0 and conf.max() <= 1.0
-    return ece(conf if raw else platt_apply(platt_fit(conf, flabels), conf), flabels, bins=bins)
+    return ece(conf if raw else platt_apply(platt_fit(conf, res), conf), res, bins=bins)
 
 
 def run_study(
@@ -100,7 +98,6 @@ def run_study(
     scores: CsfScores,
     ece_bins: int = 15,
     on_curve=None,
-    predicted: np.ndarray | None = None,
 ) -> MetricReport:
     """Evaluate every scored CSF under one study; returns a report fragment.
 
@@ -110,16 +107,15 @@ def run_study(
     none, nll and brier softmax the study's rows at scores.cfg, the
     configuration the scores were computed at. What depends on the study
     alone (its evaluated rows, their residuals, the optimal AURC behind
-    E-AURC) is computed once; each CSF then reads every ranking metric off one
-    sort of its evaluated confidences and one gather of the residuals into it.
-    on_curve(study name, csf, curve), when given, receives each CSF's curve;
-    predicted, when given, is predictions(bundle), taken once per run.
+    E-AURC) is computed once; each CSF then gathers its evaluated confidences
+    once, for ece and one sweep. on_curve(study name, csf, curve), when given,
+    receives each CSF's curve.
     """
     keep = bundle.tagged(spec.shift_filter)
     if not keep.any():
         raise EmptyEvaluationSet(f"study {spec.name!r}: no samples match {spec.shift_filter}")
     # the study's rows are read through masks, so no study copies the bundle's logits, labels and tags
-    flabels = failure_labels(bundle, spec.kind, keep, predicted)
+    flabels = failure_labels(bundle, spec.kind, keep)
 
     report = MetricReport()
     report.study_info[spec.name] = {
@@ -150,30 +146,24 @@ def run_study(
     # the AURC of the study's optimal ranking, the same for every CSF
     optimum = M._optimal_aurc(res) if "e-aurc" in spec.metrics else None
     needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
-    needs_curve = on_curve is not None or not {"aurc", "e-aurc"}.isdisjoint(spec.metrics)
     for csf, vec in scores.items():
         try:
-            if needs_sweep:
-                sweep = M._Sweep(vec.scores[evaluated])
-                # the residuals in sweep order: the curve and the outcome counts per tie group read this one gather
-                ranked = res[sweep.order]
-                failures = np.add.reduceat(ranked, sweep.starts, dtype=np.int64)
-            if needs_curve:
-                curve = M._curve(ranked, sweep.starts)
-            formulas = {
-                "aurc": lambda: M.aurc(curve),
-                "e-aurc": lambda: M.aurc(curve) - optimum,  # the expression of M.e_aurc
-                "auroc-f": lambda: sweep.auroc(sweep.sizes - failures),
-                "ap-f": lambda: sweep.ap(sweep.sizes - failures, descending=True),
-                "ap-f-err": lambda: sweep.ap(failures, descending=False),
-                "auroc-out": lambda: sweep.auroc(sweep.counts(inlier)),
-                "ece": lambda: _ece_of(vec.scores[keep], flabels, ece_bins),
-            }
-            for metric in spec.metrics:  # StudySpec admits only the names above and the classifier's
-                value = classifier[metric] if metric in classifier else formulas[metric]()
+            conf = vec.scores[evaluated]
+            sweep = M._Sweep(conf, res) if needs_sweep else None
+            for metric in spec.metrics:  # StudySpec admits only the names below and the classifier's
+                if metric in classifier:
+                    value = classifier[metric]
+                elif metric in M.SWEEP_METRICS:
+                    value = M.SWEEP_METRICS[metric](sweep)
+                elif metric == "e-aurc":
+                    value = M.SWEEP_METRICS["aurc"](sweep) - optimum  # the expression of M.e_aurc
+                elif metric == "auroc-out":
+                    value = sweep.auroc(sweep.counts(inlier))
+                else:
+                    value = _ece_of(conf, res, ece_bins)
                 report.values[(spec.name, csf, metric)] = float(value)
             if on_curve is not None:
-                on_curve(spec.name, csf, curve)
+                on_curve(spec.name, csf, sweep.curve)
         except FdevalError as exc:
             raise type(exc)(f"[study {spec.name} / {csf}] {exc}") from exc
     return report

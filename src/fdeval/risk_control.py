@@ -211,7 +211,9 @@ def _platt_nll_grad_hess(s, y, a, b):
     diff = p - y
     g = np.array([np.sum(diff * s), np.sum(diff)])
     w = p * (1.0 - p)
-    h = np.array([[np.sum(w * s * s), np.sum(w * s)], [np.sum(w * s), np.sum(w)]])
+    ws = w * s
+    sum_ws = np.sum(ws)
+    h = np.array([[np.sum(ws * s), sum_ws], [sum_ws, np.sum(w)]])
     return nll, g, h
 
 

@@ -292,6 +292,15 @@ def test_predictions_tie_takes_lowest_index():
     assert predictions(b).tolist() == [0, 1]
 
 
+def test_predictions_are_the_bundle_argmax_taken_once_and_read_only():
+    b = rich_bundle()
+    p = predictions(b)
+    assert p is b.predicted and predictions(b) is p
+    assert p.tolist() == np.argmax(b.logits, axis=1).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        p[0] = 0
+
+
 def test_failure_labels_standard():
     b = simple_bundle([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]], [0, 0, 0])
     fl = failure_labels(b, STANDARD)

@@ -156,19 +156,20 @@ def test_sweep_matches_previous_formulations_exactly(seed, tie_density):
 class StableSweep(_Sweep):
     """The sweep as built before the fast sort: one np.argsort(kind="stable")."""
 
-    def __init__(self, conf):
+    def __init__(self, conf, res):
         self.order = np.argsort(conf, kind="stable")
         c = conf[self.order]
         self.starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
         self.sizes = np.diff(self.starts, append=c.shape[0])
+        self.res = res[self.order]
 
 
 # ties of every kind: +0.0 equals -0.0, inf equals inf, and NaNs (of either sign) sort last
 SPECIAL = [np.nan, -np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0, -1.0, 0.5]
 
 
-def assert_stable_sweep(conf):
-    got, want = _Sweep(conf), StableSweep(conf)
+def assert_stable_sweep(conf, res):
+    got, want = _Sweep(conf, res), StableSweep(conf, res)
     assert got.order.tolist() == want.order.tolist()
     assert got.starts.tolist() == want.starts.tolist() and got.sizes.tolist() == want.sizes.tolist()
 
@@ -182,13 +183,13 @@ def test_sweep_order_is_the_stable_argsort(n, pool):
     if pool is None:  # distinct values with a few heavy tie groups and a NaN tail
         conf[rng.random(n) < 0.3] = np.round(rng.random(), 2)
         conf[rng.random(n) < 0.1] = np.nan
-    assert_stable_sweep(conf)
+    assert_stable_sweep(conf, (rng.random(n) < 0.3).astype(np.int8))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True), max_size=300))
 def test_sweep_order_is_the_stable_argsort_for_any_floats(values):
-    assert_stable_sweep(np.array(values, dtype=np.float64))
+    assert_stable_sweep(np.array(values, dtype=np.float64), np.arange(len(values)) % 2)
 
 
 def test_metrics_with_a_nan_tail_match_the_stable_sweep(monkeypatch):

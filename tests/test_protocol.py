@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdeval.metrics
+import fdeval.protocol
 from conftest import load_fdbench_module, newclass_bundle, simple_bundle
+from test_metrics import argsort_ap
 from fdeval import (
     MetricReport,
     SoftmaxConfig,
@@ -12,6 +16,7 @@ from fdeval import (
     aurc,
     aurc_oracle,
     auroc_f,
+    auroc_oracle,
     auroc_out,
     brier,
     compute_csf,
@@ -25,7 +30,7 @@ from fdeval import (
     run_study,
     softmax,
 )
-from fdeval.core import NEWCLASS, STANDARD
+from fdeval.core import ALL_TAGS, NEWCLASS, STANDARD
 from fdeval.errors import (
     ClassUnderpopulated,
     DegenerateLabels,
@@ -34,7 +39,8 @@ from fdeval.errors import (
     InvalidParameter,
     MissingMcdStack,
 )
-from fdeval.protocol import DEFAULT_METRICS, KNOWN_METRICS, LOWER_BETTER
+from fdeval.oracle import optimal_confidence
+from fdeval.protocol import DEFAULT_METRICS, KNOWN_METRICS, LOWER_BETTER, RANKING_METRICS
 
 
 def standard_bundle(seed=13, n=40, c=4):
@@ -77,6 +83,20 @@ def test_run_study_ece_uses_raw_scores_when_already_probabilities():
     fl = failure_labels(b, STANDARD)
     msr = compute_csf(b, "msr").scores
     assert report.values[("std", "msr", "ece")] == ece(msr, fl.residuals, bins=10)
+
+
+def test_ece_path_is_chosen_on_the_evaluated_rows(monkeypatch):
+    # a score outside [0, 1] on a row the new-class study dismisses once sent every score of the study through Platt
+    b = newclass_bundle()
+    fl = failure_labels(b, NEWCLASS)
+    ext = np.linspace(0.1, 0.9, b.n_samples)
+    ext[np.flatnonzero(~fl.eval_mask)[0]] = 5.0
+    b = simple_bundle(b.logits, b.labels, b.shift_tags, externals={"x": ext})
+    monkeypatch.setattr(fdeval.protocol, "platt_fit", lambda *args: pytest.fail("platt_fit ran"))
+    spec = StudySpec(name="ood", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC", "NEWCLASS_NONSEMANTIC"),
+                     metrics=("ece",))
+    report = run_study(b, spec, compute_csfs(b, ["ext:x"]))
+    assert report.values[("ood", "ext:x", "ece")] == ece(ext[fl.eval_mask], fl.residuals[fl.eval_mask])
 
 
 def test_run_study_ece_calibrates_unbounded_scores():
@@ -164,6 +184,17 @@ def test_run_study_sorts_once_per_csf(monkeypatch):
     assert [(study, csf) for study, csf, _ in curves] == [("ood", "msr"), ("ood", "pe"), ("ood", "mls")]
     for _, csf, curve in curves:
         assert aurc(curve) == report.values[("ood", csf, "aurc")]
+
+
+def test_studies_of_a_run_share_one_argmax(monkeypatch):
+    b = newclass_bundle()
+    scores = compute_csfs(b, ["msr"])
+    calls = []
+    real_argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda *args, **kwargs: calls.append(1) or real_argmax(*args, **kwargs))
+    for spec in (StudySpec(name="all"), StudySpec(name="new", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC"))):
+        run_study(b, spec, scores)
+    assert len(calls) == 1
 
 
 def test_shift_filter_slices_rows():
@@ -347,9 +378,76 @@ def test_outcome_counts_give_the_wrapper_values(tied):
         keep = np.isin(b.shift_tags, spec.shift_filter)
         fl = failure_labels(b.select(keep), spec.kind)
         values = run_study(b, spec, scores).values
-        assert run_study(b, spec, scores, predicted=np.argmax(b.logits, axis=1)).values == values
         for csf in csfs:
             conf = scores[csf].scores[keep]
             assert values[(spec.name, csf, "auroc-f")] == auroc_f(conf, fl), (spec.name, csf)
             assert values[(spec.name, csf, "ap-f")] == ap_f(conf, fl, positive="success"), (spec.name, csf)
             assert values[(spec.name, csf, "ap-f-err")] == ap_f(conf, fl, positive="failure"), (spec.name, csf)
+
+
+@st.composite
+def tied_bundles(draw):
+    """A small bundle with integer logits (ties in every score and in the argmax), every shift tag and a tied ext: score.
+
+    Row 0 is a correct IID row and row 1 a new-class one, so every study below has a success, a failure, an inlier
+    and an outlier among its evaluated rows.
+    """
+    c = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 24))
+    tags = ["IID", "NEWCLASS_SEMANTIC"] + draw(st.lists(st.sampled_from(ALL_TAGS), min_size=n - 2, max_size=n - 2))
+    logits = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=c, max_size=c), min_size=n, max_size=n)))
+    labels = np.array([c if tag.startswith("NEWCLASS") else draw(st.integers(0, c - 1)) for tag in tags])
+    labels[0] = np.argmax(logits[0])
+    tied = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)))
+    return simple_bundle(logits, labels, tags, externals={"tied": tied})
+
+
+def oracle_cells(b, spec, scores):
+    """Every ranking cell of one study, from the oracles over rows sliced with numpy."""
+    keep = np.isin(b.shift_tags, spec.shift_filter)
+    res = (np.argmax(b.logits, axis=1) != b.labels)[keep].astype(np.int64)
+    mask = np.ones(res.shape[0], dtype=bool)
+    if spec.kind == NEWCLASS:
+        mask = ~((b.shift_tags[keep] == "IID") & (res == 1))
+    r, inlier = res[mask], (b.labels[keep] != b.ood_label)[mask]
+    cells = {}
+    for csf, vec in scores.items():
+        conf = vec.scores[keep]
+        value = aurc_oracle(conf, res, mask)
+        cells[(spec.name, csf, "aurc")] = value
+        cells[(spec.name, csf, "e-aurc")] = value - aurc_oracle(optimal_confidence(r), r)
+        cells[(spec.name, csf, "auroc-f")] = auroc_oracle(conf[mask], r == 0)
+        cells[(spec.name, csf, "auroc-out")] = auroc_oracle(conf[mask], inlier)
+        cells[(spec.name, csf, "ap-f")] = argsort_ap(conf[mask], r, "success")
+        cells[(spec.name, csf, "ap-f-err")] = argsort_ap(conf[mask], r, "failure")
+    return cells
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tied_bundles(), st.sampled_from(["f16", "f32", "f64"]),
+       st.lists(st.sampled_from(["COVARIATE", "SUBCLASS", "NEWCLASS_NONSEMANTIC"]), unique=True))
+def test_run_study_cells_match_the_oracles(b, precision, extra_tags):
+    metrics = tuple(sorted(RANKING_METRICS))
+    scores = compute_csfs(b, ["msr", "pe", "mls", "ext:tied"], SoftmaxConfig(precision=precision))
+    shift_filter = ("IID", "NEWCLASS_SEMANTIC", *extra_tags)
+    studies = [StudySpec(name="std", shift_filter=shift_filter, metrics=metrics),
+               StudySpec(name="new", kind=NEWCLASS, shift_filter=shift_filter, metrics=metrics)]
+    report, want = MetricReport(), {}
+    for spec in studies:
+        report.merge(run_study(b, spec, scores))
+        want.update(oracle_cells(b, spec, scores))
+    assert report.values.keys() == want.keys()
+    for cell, value in want.items():
+        assert abs(report.values[cell] - value) <= 1e-12, cell
+    rank_table(report)
+    for spec in studies:
+        for metric in metrics:
+            sign = -1.0 if metric in ("aurc", "e-aurc") else 1.0   # sign * value is higher for the better CSF
+            got = {csf: sign * report.values[(spec.name, csf, metric)] for csf in scores}
+            oracle = {csf: sign * want[(spec.name, csf, metric)] for csf in scores}
+            ranks = report.ranks[(spec.name, metric)]
+            # competition ranks by direct counting: 1 + the number of CSFs with a strictly better value
+            assert ranks == {csf: 1 + sum(v > got[csf] for v in got.values()) for csf in scores}, (spec.name, metric)
+            # in the oracle's order wherever the oracle values differ by more than the tolerance; closer values
+            # can be equal, and the report or the oracle may still split them by rounding
+            assert all(ranks[a] < ranks[b] for a in scores for b in scores if oracle[a] - oracle[b] > 1e-12)

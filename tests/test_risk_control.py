@@ -10,9 +10,11 @@ from conftest import both_outcomes_instance, simple_bundle
 from fdeval import (
     NEWCLASS,
     FailureLabels,
+    accuracy,
     ap_f,
     aurc,
     auroc_f,
+    auroc_out,
     compute_csf,
     ece,
     failure_labels,
@@ -25,6 +27,7 @@ from fdeval.errors import (
     DegenerateLabels,
     EmptyEvaluationSet,
     InvalidParameter,
+    LabelOutOfRange,
     NoFeasibleThreshold,
     PerfectSeparation,
     ShapeMismatch,
@@ -372,3 +375,38 @@ def test_scored_inputs_share_one_check(fn):
         fn(scores[:-1], res)
     with pytest.raises(EmptyEvaluationSet):
         fn(scores, FailureLabels(residuals=res, eval_mask=np.zeros(20, bool)))
+
+
+# every function that reads residuals, as (id, fn(scores, residuals)) giving a value that compares with ==
+RESIDUAL_READERS = [
+    ("rc_curve", lambda s, r: aurc(rc_curve(s, r))),
+    ("accuracy", lambda s, r: accuracy(r)),
+    ("auroc_f", auroc_f),
+    ("auroc_out", lambda s, r: auroc_out(s, r.residuals, r.eval_mask) if isinstance(r, FailureLabels) else auroc_out(s, r)),
+    ("ap_f", ap_f),
+    ("sgr_select", lambda s, r: sgr_select(s, r, r_star=0.5, delta=0.1)),
+    ("platt_fit", platt_fit),
+    ("ece", ece),
+]
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+@pytest.mark.parametrize("fn", [fn for _, fn in RESIDUAL_READERS], ids=[name for name, _ in RESIDUAL_READERS])
+def test_residuals_other_than_0_or_1_are_refused(fn, bad):
+    # a 2 once counted as two failures on the curve and one in auroc_f, a -1 gave a negative AURC
+    # and a 0.5 was truncated to 0
+    scores = np.array([0.1, 0.2, 0.3, 0.4])
+    res = np.array([0, 0, 1, bad])
+    with pytest.raises(LabelOutOfRange, match=f"^residuals must be 0 or 1, got {res[3]} at row 3$"):
+        fn(scores, res)
+    with pytest.raises(LabelOutOfRange, match="at row 3$"):
+        fn(scores, FailureLabels(residuals=res, eval_mask=np.array([True, True, True, False])))
+
+
+@pytest.mark.parametrize("fn", [fn for _, fn in RESIDUAL_READERS], ids=[name for name, _ in RESIDUAL_READERS])
+def test_bool_and_float_residuals_read_as_their_integers(fn):
+    scores = np.linspace(0.05, 0.95, 20)
+    res = np.array([1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.int8)
+    want = fn(scores, res)
+    assert fn(scores, res.astype(bool)) == want
+    assert fn(scores, res.astype(np.float64)) == want
