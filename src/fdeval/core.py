@@ -20,7 +20,6 @@ shift.csv is always CSV.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import struct
 import warnings
@@ -29,6 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyNewClassStudy,
@@ -58,6 +58,11 @@ ALL_TAGS = tuple(t.value for t in ShiftTag)
 # a bundle holds each row's shift tag as a uint8 code, the tag's index in ALL_TAGS
 _TAG_CODE = {tag: k for k, tag in enumerate(ALL_TAGS)}
 _NO_TAG = 255
+# the five tags differ in length, so a shift.csv line's length names the one tag it can be:
+# entry L is that tag's code, or _NO_TAG; the last entry stands for every longer line
+_CODE_OF_LENGTH = np.full(max(map(len, ALL_TAGS)) + 2, _NO_TAG, dtype=np.uint8)
+_CODE_OF_LENGTH[[len(tag) for tag in ALL_TAGS]] = range(len(ALL_TAGS))
+_TAG_LINES = [np.frombuffer(f"{tag}\n".encode(), dtype=np.uint8) for tag in ALL_TAGS]
 
 
 def _tag_codes(tags) -> np.ndarray:
@@ -251,23 +256,46 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
     return bundle
 
 
+def _exact_tag_codes(data: bytes) -> np.ndarray | None:
+    """The codes of a shift.csv whose every line is exactly a tag ended by "\n", from one pass over
+    its bytes; None for any other file.
+
+    Each line's length gives its candidate tag, and each line is then compared, once, with the
+    bytes of that tag and its "\n".
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if ends.size == 0 or ends[-1] != raw.size - 1:
+        return None
+    starts = np.r_[0, ends[:-1] + 1]
+    codes = _CODE_OF_LENGTH[np.minimum(ends - starts, _CODE_OF_LENGTH.size - 1)]
+    if (codes == _NO_TAG).any():
+        return None
+    for k, line in enumerate(_TAG_LINES):
+        rows = starts[codes == k]
+        # row i of the view is the len(line) bytes from byte i on, so only these lines are copied
+        if rows.size and not (sliding_window_view(raw, line.size)[rows] == line).all():
+            return None
+    return codes
+
+
 def _read_shift_tags(path: Path) -> np.ndarray:
+    codes = _exact_tag_codes(path.read_bytes())
+    if codes is not None:
+        return codes
+    # CRLF line ends, padding, blank lines, a missing last newline or no tag: line by line
     try:
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise ShapeMismatch(f"shift.csv: {exc}") from exc
     while lines and not lines[-1].strip():
         lines.pop()
-    # a line that is exactly a tag is one dict lookup; if one is not, the stripped lines go to
-    # the constructor as str objects, which it compares exactly and names when unknown
-    codes = np.frombuffer(bytearray(map(_TAG_CODE.get, lines, itertools.repeat(_NO_TAG))), dtype=np.uint8)
-    if (codes == _NO_TAG).any():
-        lines = [line.strip() for line in lines]
-        if "" in lines:
-            # dropping an interior blank line would move every later tag onto the wrong row
-            raise ShapeMismatch(f"shift.csv: line {lines.index('') + 1} is blank")
-        return np.array(lines, dtype=object)
-    return codes
+    lines = [line.strip() for line in lines]
+    if "" in lines:
+        # dropping an interior blank line would move every later tag onto the wrong row
+        raise ShapeMismatch(f"shift.csv: line {lines.index('') + 1} is blank")
+    # the stripped lines go to the constructor as str objects, which it compares exactly and names when unknown
+    return np.array(lines, dtype=object)
 
 
 def _meta_count(meta: dict, key: str, default: int | None = None) -> int:

@@ -9,6 +9,7 @@ accuracy still covers all samples). Results land in a MetricReport keyed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -162,20 +163,35 @@ def run_study(
                 else:
                     value = _ece_of(conf, res, ece_bins)
                 report.values[(spec.name, csf, metric)] = float(value)
-            if on_curve is not None:
-                on_curve(spec.name, csf, sweep.curve)
+            curve = None if on_curve is None else sweep.curve
+            # the sweep's index arrays are freed before the curve is drawn, and the curve before the next sweep
+            del conf, sweep
+            if curve is not None:
+                on_curve(spec.name, csf, curve)
+            del curve
         except FdevalError as exc:
             raise type(exc)(f"[study {spec.name} / {csf}] {exc}") from exc
     return report
 
 
 def rank_table(report: MetricReport) -> MetricReport:
-    """Fill competition ranks (ties share the smallest rank) per study+metric."""
+    """Fill competition ranks per study+metric: a CSF's rank is 1 + the number of better values.
+
+    A value v is better than w only when it wins by more than
+    1e-12 * max(|v|, |w|) (math.isclose's relative test), so two values that
+    are equal up to rounding share a rank. The test is pairwise: in a chain of
+    near-equal values such as 1, 1 + 0.9e-12 and 1 + 1.8e-12 (higher better),
+    the ends differ by more than the tolerance, so the first two are equal
+    under the rule yet rank 2 and 1.
+    """
     columns: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for (study, csf, metric), value in report.values.items():
         columns.setdefault((study, metric), []).append((csf, value))
     for (study, metric), entries in columns.items():
-        lower = metric in LOWER_BETTER    # a CSF's rank is 1 + the number of strictly better values
-        report.ranks[(study, metric)] = {csf: 1 + sum(v < value if lower else v > value for _, v in entries)
-                                         for csf, value in entries}
+        lower = metric in LOWER_BETTER
+        report.ranks[(study, metric)] = {
+            csf: 1 + sum((v < value if lower else v > value) and not math.isclose(v, value, rel_tol=1e-12)
+                         for _, v in entries)
+            for csf, value in entries
+        }
     return report

@@ -114,46 +114,89 @@ def _cents_table() -> np.ndarray:
     return table.reshape(_CENTS, _WIDTH)
 
 
-def _fixed2(v: np.ndarray) -> np.ndarray:
-    """format(x, ".2f") of each element of v as a row of ASCII bytes, padded with _PAD.
+def _hundredths(v: np.ndarray) -> tuple[np.ndarray, dict[int, bytes]]:
+    """format(x, ".2f") of each element of v as its row of _cents_table (100 times the text's value),
+    as floats, and the texts that are no row.
 
-    Nonnegative values clear of a half-hundredth are looked up in _cents_table
-    by np.rint(100 * v) while it is below _CENTS; exact or near ties,
-    non-finite values and all others go through format() one by one.
+    Nonnegative values clear of a half-hundredth are np.rint(100 * v) while it
+    is below _CENTS; exact or near ties, non-finite values and all others go
+    through format() once each. A text that is no row of the table (negative,
+    1000.00 or more, or not finite) gets NaN, which equals and orders against
+    nothing, and its bytes go in the dict under the element's index.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = 100.0 * v
-        cents = np.rint(scaled)
-        fast = ~np.signbit(v) & (cents < _CENTS) & (np.abs(scaled - cents) < 0.5 - _TIE_GAP)
-    slow = np.flatnonzero(~fast)
-    texts = [format(float(v[i]), ".2f").encode("ascii") for i in slow]
-    out = np.take(_cents_table(), np.where(fast, cents, 0.0).astype(np.int64), axis=0)
+        hundredths = np.rint(scaled)
+        fast = ~np.signbit(v) & (hundredths < _CENTS) & (np.abs(scaled - hundredths) < 0.5 - _TIE_GAP)
+    others = {}
+    for i in np.flatnonzero(~fast).tolist():
+        text = format(float(v[i]), ".2f")
+        whole, _, part = text.partition(".")
+        if whole.isdigit() and len(whole) <= 3:   # "-0.00", "nan" and "1000.00" are no row
+            hundredths[i] = int(whole + part)
+        else:
+            hundredths[i] = np.nan
+            others[i] = text.encode("ascii")
+    return hundredths, others
+
+
+def _text_rows(hundredths: np.ndarray, others: dict[int, bytes], idx: np.ndarray) -> np.ndarray:
+    """The texts of elements idx of what _hundredths returned, one row of ASCII bytes each, padded with _PAD."""
+    rows = hundredths[idx]
+    odd = np.flatnonzero(np.isnan(rows))
+    rows[odd] = 0.0
+    out = np.take(_cents_table(), rows.astype(np.int64), axis=0)
+    texts = [others[i] for i in idx[odd].tolist()]
     width = max([_WIDTH] + [len(t) for t in texts])
     if width > _WIDTH:
-        out = np.concatenate([np.full((v.shape[0], width - _WIDTH), _PAD, dtype=np.uint8), out], axis=1)
+        out = np.concatenate([np.full((idx.shape[0], width - _WIDTH), _PAD, dtype=np.uint8), out], axis=1)
     if texts:  # a bytes array pads with NUL, which is _PAD
-        out[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        out[odd] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out
 
 
+def _corners(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The vertices of the stepped path through points (xs, ys) that the drawing needs, as indices.
+
+    xs and ys are the points' coordinates as _hundredths gives them. Vertex 0
+    is point 0; vertices 2k - 1 and 2k are (x_k, y_(k-1)) and (x_k, y_k). A
+    vertex is dropped when its text repeats the vertex before it, or when it
+    lies strictly between its two neighbours on one vertical or horizontal
+    line, so the drawn path stays the same. A drop never makes a further one
+    possible, so one pass of each finds them all; no order of the points is
+    assumed. A coordinate outside the text table is NaN, so its vertex is
+    never dropped.
+    """
+    vx, vy = np.repeat(xs, 2)[1:], np.repeat(ys, 2)[:-1]
+    kept = np.flatnonzero(np.r_[True, (vx[1:] != vx[:-1]) | (vy[1:] != vy[:-1])])
+    if kept.shape[0] < 3:
+        return kept
+    vx, vy = vx[kept], vy[kept]
+    a, b, c = vx[:-2], vx[1:-1], vx[2:]
+    p, q, r = vy[:-2], vy[1:-1], vy[2:]
+    # strictly between: the two steps point the same way; a NaN is never between
+    inner = ((a == b) & (b == c) & ((q - p) * (r - q) > 0)) | ((p == q) & (q == r) & ((b - a) * (c - b) > 0))
+    return kept[np.r_[True, ~inner, True]]
+
+
 def _path_data(xs: np.ndarray, ys: np.ndarray) -> bytes:
-    """The d attribute of the curve path from the _fixed2 rows of its coordinates, the padding dropped."""
+    """The d attribute of the path through the vertices whose texts are rows xs and ys, the padding dropped."""
     wx = xs.shape[1]
-    # block i holds the two vertices of point i, " L x_i,y_(i-1)" across and " L x_i,y_i" down, so x_i is
-    # written once for both; block 0 holds "M x0,y0" and, before it, a vertex of padding alone
-    out = np.empty((xs.shape[0], 2, 4 + wx + ys.shape[1]), dtype=np.uint8)
-    out[:, :, :3] = tuple(b" L ")
-    out[:, :, 3:3 + wx] = xs[:, None]
-    out[:, :, 3 + wx] = ord(",")
-    out[:, 1, 4 + wx:] = ys
-    out[1:, 0, 4 + wx:] = ys[:-1]
-    out[0, 0] = _PAD
-    out[0, 1, :3] = (_PAD, ord("M"), ord(" "))
+    out = np.empty((xs.shape[0], 4 + wx + ys.shape[1]), dtype=np.uint8)
+    out[:, :3] = tuple(b" L ")
+    out[:, 3:3 + wx] = xs
+    out[:, 3 + wx] = ord(",")
+    out[:, 4 + wx:] = ys
+    out[0, :3] = (_PAD, ord("M"), ord(" "))
     return out.tobytes().replace(bytes([_PAD]), b"")
 
 
 def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
-    """Static stepped risk-coverage plot on fixed [0,1] x [0,1] axes, as UTF-8 bytes."""
+    """Static stepped risk-coverage plot on fixed [0,1] x [0,1] axes, as UTF-8 bytes.
+
+    The path is drawn through the corners of the steps alone, at two decimals
+    of a pixel: see _corners.
+    """
     left, right, top, bottom = 60.0, 440.0, 20.0, 320.0
 
     def x(cov: float) -> str:
@@ -162,8 +205,11 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
     def y(risk: float) -> str:
         return format(bottom - (bottom - top) * risk, ".2f")
 
-    xs = _fixed2(left + (right - left) * np.asarray(curve.coverages, dtype=np.float64))
-    ys = _fixed2(bottom - (bottom - top) * np.asarray(curve.risks, dtype=np.float64))
+    # each coordinate's text is settled once; the path keeps only the corners of the steps
+    xs, x_others = _hundredths(left + (right - left) * np.asarray(curve.coverages, dtype=np.float64))
+    ys, y_others = _hundredths(bottom - (bottom - top) * np.asarray(curve.risks, dtype=np.float64))
+    corners = _corners(xs, ys)
+    path = _path_data(_text_rows(xs, x_others, (corners + 1) // 2), _text_rows(ys, y_others, corners // 2))
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" viewBox="0 0 480 360">',
@@ -186,4 +232,4 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
     parts.append("</svg>")
     # the path's bytes go in once, between the encoded text before and after its {path} mark
     head, _, tail = ("\n".join(parts) + "\n").partition("{path}")
-    return b"".join([head.encode(), _path_data(xs, ys), tail.encode()])
+    return b"".join([head.encode(), path, tail.encode()])

@@ -143,12 +143,23 @@ def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxCon
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0."""
-    # p * ln(1) is already +0.0 where p == 0; one temporary of p's size
-    plogp = np.where(p > 0, p, 1.0)
-    np.log(plogp, out=plogp)
-    plogp *= p
-    return -np.sum(plogp, axis=-1)
+    """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0.
+
+    p is read in blocks of _ROW_BLOCK elements along its first axis, on the
+    calling thread, so the temporaries are a block's size, not p's. Each row is
+    summed on its own, so the bits do not depend on the blocks.
+    """
+    out = np.empty(p.shape[:-1], dtype=np.result_type(p, 1.0))
+    step = _rows_per_block(p[:1].size, _ROW_BLOCK)
+    for lo in range(0, p.shape[0], step):
+        block = p[lo:lo + step]
+        # p * ln(1) is already +0.0 where p == 0
+        plogp = np.where(block > 0, block, 1.0)
+        np.log(plogp, out=plogp)
+        plogp *= block
+        np.sum(plogp, axis=-1, out=out[lo:lo + step])
+        del plogp   # before the next block's is made
+    return np.negative(out, out=out)
 
 
 def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge: float | None = None):
@@ -373,7 +384,8 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
     One logits softmax feeds msr and pe, and the result holds it as probs when keep_probs asks for it
-    (for nll and brier); one row-blocked pass over the MC-dropout stack feeds every mcd- CSF. maha
+    (for nll and brier); pe's entropy reads it in row blocks on this thread, so pe makes no (n, c)
+    temporary. One row-blocked pass over the MC-dropout stack feeds every mcd- CSF. maha
     is fitted once, on the inlier-labeled rows, and scored last. The result records cfg, the softmax
     configuration it was scored at.
     """

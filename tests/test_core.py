@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import newclass_bundle, simple_bundle
-from fdeval.core import ALL_TAGS, NEWCLASS_TAGS
+from fdeval.core import ALL_TAGS, NEWCLASS_TAGS, _exact_tag_codes
 from fdeval import (
     NEWCLASS,
     STANDARD,
@@ -203,6 +203,56 @@ def test_unknown_tag_message_is_the_whole_tag_as_a_plain_repr(tmp_path):
     with pytest.raises(LabelOutOfRange) as exc:
         PredictionBundle(logits=np.eye(2), labels=np.zeros(2), shift_tags=np.array(["IID", long_tag]))
     assert str(exc.value) == f"shift: unknown tag {long_tag!r} at row 1"
+
+
+SHIFT_TAGS = ["IID", "SUBCLASS", "NEWCLASS_NONSEMANTIC", "COVARIATE"]
+SHIFT_TEXT = "".join(f"{tag}\n" for tag in SHIFT_TAGS)
+
+
+def shift_bundle(tmp_path, data):
+    bundle = simple_bundle(np.eye(4, 2), [0, 1, 2, 0], tags=SHIFT_TAGS)
+    (write_bundle(bundle, tmp_path / "b") / "shift.csv").write_bytes(data)
+    return tmp_path / "b"
+
+
+def test_shift_csv_of_exact_tag_lines_takes_the_byte_path(tmp_path):
+    every_tag = "".join(f"{tag}\n" for tag in ALL_TAGS * 3)
+    assert _exact_tag_codes(every_tag.encode()).tolist() == list(range(len(ALL_TAGS))) * 3
+    assert _exact_tag_codes(b"IID\n").tolist() == [0]
+    assert load_bundle(shift_bundle(tmp_path, SHIFT_TEXT.encode())).shift_tags.tolist() == SHIFT_TAGS
+    with pytest.raises(ShapeMismatch, match=r"^shift: expected shape \(4,\), got \(5,\)$"):
+        load_bundle(shift_bundle(tmp_path, (SHIFT_TEXT + "IID\n").encode()))
+
+
+@pytest.mark.parametrize("data", [
+    SHIFT_TEXT.replace("\n", "\r\n").encode(),                       # CRLF line ends
+    SHIFT_TEXT.replace("SUBCLASS", " SUBCLASS\t").encode(),           # padding
+    SHIFT_TEXT.replace("IID", "IID ").encode(),                        # padding to another tag's length
+    SHIFT_TEXT.encode()[:-1],                                         # no final newline
+    (SHIFT_TEXT + "\n\n").encode(),                                    # trailing blank lines
+    (SHIFT_TEXT + "  \n").encode(),
+], ids=["crlf", "padded", "padded-to-a-tag-length", "no-final-newline", "trailing-blank-lines", "trailing-space-line"])
+def test_shift_csv_fallbacks_read_the_same_tags(tmp_path, data):
+    assert _exact_tag_codes(data) is None
+    assert load_bundle(shift_bundle(tmp_path, data)).shift_tags.tolist() == SHIFT_TAGS
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (b"", ShapeMismatch, "shift: expected shape (4,), got (0,)"),
+    (SHIFT_TEXT.replace("IID\n", "IID\n\n").encode(), ShapeMismatch, "shift.csv: line 2 is blank"),
+    (SHIFT_TEXT.replace("SUBCLASS", "SUBCLASX").encode(), LabelOutOfRange, "shift: unknown tag 'SUBCLASX' at row 1"),
+    (SHIFT_TEXT.replace("IID", "iid").encode(), LabelOutOfRange, "shift: unknown tag 'iid' at row 0"),
+    (SHIFT_TEXT.replace("COVARIATE", "COVARIATES_AND_MORE_THAN_20").encode(), LabelOutOfRange,
+     "shift: unknown tag 'COVARIATES_AND_MORE_THAN_20' at row 3"),
+    (SHIFT_TEXT.replace("IID", "I\x00D").encode(), LabelOutOfRange, "shift: unknown tag 'I\\x00D' at row 0"),
+    (SHIFT_TEXT.encode().replace(b"IID", b"I\xffD"), ShapeMismatch, "shift.csv: 'utf-8' codec can't decode"),
+], ids=["empty", "interior-blank-line", "same-length-unknown-tag", "lower-case", "longer-than-any-tag",
+        "nul-byte", "not-utf8"])
+def test_shift_csv_fallbacks_name_the_same_errors(tmp_path, data, error, message):
+    assert _exact_tag_codes(data) is None
+    with pytest.raises(error) as exc:
+        load_bundle(shift_bundle(tmp_path, data))
+    assert str(exc.value).startswith(message)
 
 
 line_ends = st.sampled_from(["\n", "\r\n"])

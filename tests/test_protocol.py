@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,26 @@ def test_rank_table_competition_ranks():
     assert "aurc" in LOWER_BETTER and "auroc-f" not in LOWER_BETTER
 
 
+def test_rank_table_shares_ranks_of_values_equal_up_to_rounding():
+    # the exact AURC of msr, pe and mls is 283/360 for all three, but mls's sums can read 1 ulp lower
+    logits = [[0.6, -0.4], [-0.3, 1.1], [0.4, 0.7], [-1.3, -0.3], [1.6, 3.0], [-2.5, 3.0]]
+    b = simple_bundle(logits, [0, 2, 2, 2, 2, 2], ["IID"] + ["NEWCLASS_SEMANTIC"] * 5)
+    report = run_study(b, StudySpec(name="std", metrics=("aurc",)), compute_csfs(b, ["msr", "pe", "mls"]))
+    values = {csf: report.values[("std", csf, "aurc")] for csf in ("msr", "pe", "mls")}
+    assert all(abs(v - 283 / 360) <= 2e-16 for v in values.values())
+    assert rank_table(report).ranks[("std", "aurc")] == {"msr": 1, "pe": 1, "mls": 1}
+
+    # a value wins only by more than 1e-12 of the larger magnitude, in either direction of better;
+    # the test is pairwise, so a ties b and b ties c, yet c beats a
+    report = MetricReport()
+    for csf, value in (("a", 0.5), ("b", 0.5 * (1 + 0.9e-12)), ("c", 0.5 * (1 + 1.1e-12)), ("d", -0.0), ("e", 0.0)):
+        report.values[("s", csf, "aurc")] = value
+        report.values[("s", csf, "auroc-f")] = value
+    rank_table(report)
+    assert report.ranks[("s", "aurc")] == {"a": 3, "b": 3, "c": 4, "d": 1, "e": 1}
+    assert report.ranks[("s", "auroc-f")] == {"a": 2, "b": 1, "c": 1, "d": 4, "e": 4}
+
+
 def test_report_merge():
     b = standard_bundle()
     r1 = run_study(b, StudySpec(name="one", metrics=("aurc",)), compute_csfs(b, ["msr"]))
@@ -445,9 +467,8 @@ def test_run_study_cells_match_the_oracles(b, precision, extra_tags):
             sign = -1.0 if metric in ("aurc", "e-aurc") else 1.0   # sign * value is higher for the better CSF
             got = {csf: sign * report.values[(spec.name, csf, metric)] for csf in scores}
             oracle = {csf: sign * want[(spec.name, csf, metric)] for csf in scores}
-            ranks = report.ranks[(spec.name, metric)]
-            # competition ranks by direct counting: 1 + the number of CSFs with a strictly better value
-            assert ranks == {csf: 1 + sum(v > got[csf] for v in got.values()) for csf in scores}, (spec.name, metric)
-            # in the oracle's order wherever the oracle values differ by more than the tolerance; closer values
-            # can be equal, and the report or the oracle may still split them by rounding
-            assert all(ranks[a] < ranks[b] for a in scores for b in scores if oracle[a] - oracle[b] > 1e-12)
+            # competition ranks of the oracle's values: 1 + the number of CSFs whose value wins by more than
+            # 1e-12 of the larger magnitude, so the rounding that splits equal values changes no rank
+            want_ranks = {csf: 1 + sum(v > w and not math.isclose(v, w, rel_tol=1e-12) for v in oracle.values())
+                          for csf, w in oracle.items()}
+            assert report.ranks[(spec.name, metric)] == want_ranks, (spec.name, metric)

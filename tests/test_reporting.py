@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from fdeval.cli import main
 from fdeval.core import STANDARD
 from fdeval.metrics import RiskCoverageCurve
 from fdeval.protocol import MetricReport
-from fdeval.reporting import _fixed2, render_rc_svg, report_csv_text, safe_name
+from fdeval.reporting import _hundredths, _text_rows, render_rc_svg, report_csv_text, safe_name
 
 LEFT, RIGHT, TOP, BOTTOM = 60.0, 440.0, 20.0, 320.0
 
@@ -122,20 +123,92 @@ def curve_cases():
     }
 
 
-def test_render_rc_svg_matches_per_point_reference():
+def between(a, b, c):
+    """Text vertex b lies strictly between a and c on one vertical or horizontal line."""
+    for axis in (0, 1):
+        if a[axis] == b[axis] == c[axis]:
+            lo, mid, hi = (float(v[1 - axis]) for v in (a, b, c))
+            if lo < mid < hi or lo > mid > hi:
+                return True
+    return False
+
+
+def path_vertices(svg):
+    """The (x, y) texts of the vertices of the curve path of an SVG."""
+    tokens = re.search(r'<path d="([^"]*)"', svg).group(1).split(" ")
+    assert tokens[0] == "M" and set(tokens[2::2]) <= {"L"}
+    return [tuple(v.split(",")) for v in tokens[1::2]]
+
+
+def corner_filter(svg):
+    """svg with its path cut to the corners: a vertex that repeats the one kept before it is skipped,
+    and a kept vertex is taken back while it lies between its kept neighbours on one axis-aligned line."""
+    kept = []
+    for v in path_vertices(svg):
+        if kept and v == kept[-1]:
+            continue
+        while len(kept) >= 2 and between(kept[-2], kept[-1], v):
+            kept.pop()
+        kept.append(v)
+    path = "M " + " L ".join(f"{x},{y}" for x, y in kept)
+    return re.sub(r'<path d="[^"]*"', f'<path d="{path}"', svg)
+
+
+def zigzag_curve(seed, n=400):
+    """A hand-built curve whose coverages go back and forth, on a coarse grid so that texts repeat."""
+    rng = np.random.default_rng(seed)
+    return hand_curve(rng.integers(0, 5, n) / 4, rng.integers(0, 4, n) / 3)
+
+
+def reference_cases():
     cases = curve_cases()
+    for seed in range(3):
+        # heavy ties, exact half-hundredths and non-monotone coverages, seeded
+        cases[f"tied-1-decimal-{seed}"] = random_curve(10 + seed, 5000, decimals=1)
+        cases[f"tied-3-decimals-{seed}"] = random_curve(20 + seed, 50_000, decimals=3)
+        n = 608 * (seed + 1)    # 38000 / 608 = 62.5: coverages j / n put many x = 60 + 380 j / n on half-hundredths
+        cases[f"half-hundredths-{seed}"] = rc_curve(np.random.default_rng(30 + seed).random(n),
+                                                    np.random.default_rng(40 + seed).random(n) < 0.5)
+        cases[f"zigzag-{seed}"] = zigzag_curve(50 + seed)
+    cases["single-point-0-risk"] = rc_curve(np.array([0.2]), np.array([0]))
+    cases["terminal-zero-coverage-tied"] = rc_curve(np.array([0.5] * 6 + [0.1]), np.array([1, 0, 1, 0, 0, 1, 0]))
+    return cases
+
+
+def test_render_rc_svg_matches_per_point_reference():
+    cases = reference_cases()
     assert cases["untied-100k"].coverages.size == 100_000
     assert cases["tied-2-decimals"].coverages.size < 200
     assert cases["single-point"].coverages.size == 1
     assert cases["terminal-zero-coverage"].coverages[-1] == 0.0
     assert set(X_TIES) <= set(to_x(cases["half-hundredths"].coverages).tolist())
     assert set(Y_TIES) <= set(to_y(cases["half-hundredths"].risks).tolist())
+    assert all(near_half_hundredths(cases[f"half-hundredths-{seed}"]) > 100 for seed in range(3))
+    assert all(np.any(np.diff(cases[f"zigzag-{seed}"].coverages) > 0) for seed in range(3))
     for name, curve in cases.items():
-        assert render_rc_svg(curve, "a b", name) == per_point_render_rc_svg(curve, "a b", name).encode(), name
+        reference = corner_filter(per_point_render_rc_svg(curve, "a b", name))
+        svg = render_rc_svg(curve, "a b", name).decode()
+        assert svg == reference, name
+        # the kept vertices are the corners: none repeats the one before it or lies between its neighbours
+        vertices = path_vertices(svg)
+        assert all(a != b for a, b in zip(vertices, vertices[1:])), name
+        assert not any(between(*vertices[i - 1:i + 2]) for i in range(1, len(vertices) - 1)), name
+
+
+def test_render_rc_svg_keeps_the_corners_only():
+    curve = curve_cases()["untied-100k"]
+    before = len(path_vertices(per_point_render_rc_svg(curve, "s", "c")))
+    after = len(path_vertices(render_rc_svg(curve, "s", "c").decode()))
+    assert before == 2 * 100_000 - 1 and after < before / 3
+    # a flat curve is one horizontal line
+    flat = hand_curve(np.linspace(1.0, 0.0, 1000), np.full(1000, 0.25))
+    assert path_vertices(render_rc_svg(flat, "s", "c").decode()) == [("440.00", "245.00"), ("60.00", "245.00")]
 
 
 def fixed2_texts(v):
-    return [bytes(r[r != 0]).decode("ascii") for r in _fixed2(np.asarray(v, dtype=np.float64))]
+    v = np.asarray(v, dtype=np.float64)
+    rows = _text_rows(*_hundredths(v), np.arange(v.shape[0]))
+    return [bytes(r[r != 0]).decode("ascii") for r in rows]
 
 
 def test_fixed2_matches_format():
