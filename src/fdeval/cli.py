@@ -239,8 +239,8 @@ def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
                     raise InvalidParameter(
                         f"study {spec.name!r} CSF {csf!r} and study {other[0]!r} CSF {other[1]!r} both write {name}"
                     )
-    keep_probs = any(not SOFTMAX_METRICS.isdisjoint(spec.metrics) for spec in studies)
-    scores = compute_csfs(bundle, rc.csfs, rc.softmax, keep_probs)
+    keep_terms = any(not SOFTMAX_METRICS.isdisjoint(spec.metrics) for spec in studies)
+    scores = compute_csfs(bundle, rc.csfs, rc.softmax, keep_terms)
     svgs = []
 
     def write_svg(study: str, csf: str, curve) -> None:

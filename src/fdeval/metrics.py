@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FailureLabels
 from .errors import DegenerateLabels, EmptyEvaluationSet, LabelOutOfRange, ShapeMismatch
-from .scores import ConfidenceVector
+from .scores import ConfidenceVector, likelihood_terms
 
 
 @dataclass
@@ -228,29 +228,33 @@ def accuracy(failure) -> float:
 
 
 def _probs_and_labels(probabilities, labels) -> tuple[np.ndarray, np.ndarray]:
-    """(n, c) probabilities and their n true classes, each in [0, c), for the likelihood metrics."""
+    """(n, c) probabilities and their n true classes, for the likelihood metrics; likelihood_terms checks the classes."""
     p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64).reshape(-1)
+    y = np.asarray(labels).reshape(-1)
     if p.ndim != 2 or p.shape[0] != y.shape[0]:
         raise ShapeMismatch(f"probabilities {p.shape} and labels {y.shape} do not align")
     if p.shape[0] == 0:
         raise EmptyEvaluationSet("no samples")
-    if (y < 0).any() or (y >= p.shape[1]).any():
-        raise LabelOutOfRange("labels must lie in [0, c) for likelihood metrics")
     return p, y
+
+
+# nll and brier as reductions of their per-row terms (scores.likelihood_terms), stated once for
+# these functions and for run_study
+LIKELIHOOD_METRICS = {
+    # the true-class probability, floored at 1e-300
+    "nll": lambda picked: float(-np.mean(np.log(np.maximum(picked, 1e-300)))),
+    "brier": lambda terms: float(np.mean(terms)),
+}
 
 
 def nll(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log likelihood of the true class, floored at 1e-300."""
     p, y = _probs_and_labels(probabilities, labels)
-    picked = np.maximum(p[np.arange(p.shape[0]), y], 1e-300)
-    return float(-np.mean(np.log(picked)))
+    return LIKELIHOOD_METRICS["nll"](likelihood_terms(p, y, ("nll",))["nll"])
 
 
 def brier(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared distance between the probability row and the one-hot truth."""
     p, y = _probs_and_labels(probabilities, labels)
-    # p minus the one-hot truth, squared in place: one (n, c) array, not three
-    diff = p.copy()
-    diff[np.arange(p.shape[0]), y] -= 1.0
-    return float(np.mean(np.sum(np.square(diff, out=diff), axis=1)))
+    # the terms are taken in place, so in a copy of the caller's probabilities
+    return LIKELIHOOD_METRICS["brier"](likelihood_terms(p.copy(), y, ("brier",))["brier"])

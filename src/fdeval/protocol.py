@@ -26,7 +26,7 @@ from .errors import EmptyEvaluationSet, FdevalError, InvalidParameter
 from . import metrics as M
 from .risk_control import ece, platt_apply, platt_fit
 # compute_csf is not called here; fdbench/tracing.py binds fdeval.protocol.compute_csf by name
-from .scores import CsfScores, compute_csf, softmax  # noqa: F401
+from .scores import CsfScores, compute_csf, likelihood_terms, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
 KNOWN_METRICS = (
@@ -43,8 +43,9 @@ KNOWN_METRICS = (
 )
 DEFAULT_METRICS = ("aurc", "e-aurc", "auroc-f", "accuracy")
 RANKING_METRICS = frozenset({"aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "auroc-out"})
-# the classifier metrics that read the logits softmax, so a run holds it only when a study asks for one
-SOFTMAX_METRICS = frozenset({"nll", "brier"})
+# the classifier metrics that read the logits softmax, so a run keeps their per-row terms only when a
+# study asks for one
+SOFTMAX_METRICS = frozenset(M.LIKELIHOOD_METRICS)
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,10 @@ def run_study(
 
     scores maps each CSF to its confidences over all bundle rows, as
     compute_csfs returns them; the study keeps the rows its shift filter
-    selects, also of the logits softmax that scores.probs holds; when it holds
-    none, nll and brier softmax the study's rows at scores.cfg, the
-    configuration the scores were computed at. What depends on the study
+    selects. nll and brier reduce the per-row terms that scores.terms holds,
+    at the study's inlier rows; when it holds none, they softmax those rows at
+    scores.cfg, the configuration the scores were computed at, and take the
+    same terms of them (scores.likelihood_terms). What depends on the study
     alone (its evaluated rows, their residuals, the optimal AURC behind
     E-AURC) is computed once; each CSF then gathers its evaluated confidences
     once, for ece and one sweep. on_curve(study name, csf, curve), when given,
@@ -130,13 +132,19 @@ def run_study(
     try:
         if "accuracy" in spec.metrics:
             classifier["accuracy"] = M.accuracy(flabels)
-        if not SOFTMAX_METRICS.isdisjoint(spec.metrics):
-            # softmax is rowwise, so the run's softmax of the study's inlier rows is their own softmax
+        wanted = [metric for metric in spec.metrics if metric in SOFTMAX_METRICS]
+        if wanted:
             rows = keep & (bundle.labels != bundle.ood_label)
-            probs = softmax(bundle.logits[rows], scores.cfg) if scores.probs is None else scores.probs[rows]
-            for metric, fn in (("nll", M.nll), ("brier", M.brier)):
-                if metric in spec.metrics:
-                    classifier[metric] = fn(probs, bundle.labels[rows])
+            if not rows.any():
+                raise EmptyEvaluationSet("no samples")
+            # softmax and its terms are rowwise, so the run's terms of the study's inlier rows are
+            # the terms of those rows' own softmax
+            if scores.terms is None:
+                terms = likelihood_terms(softmax(bundle.logits[rows], scores.cfg), bundle.labels[rows], wanted)
+            else:
+                terms = {metric: scores.terms[metric][rows] for metric in wanted}
+            for metric in wanted:
+                classifier[metric] = M.LIKELIHOOD_METRICS[metric](terms[metric])
     except FdevalError as exc:
         raise type(exc)(f"[study {spec.name}] {exc}") from exc
 

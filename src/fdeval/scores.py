@@ -36,6 +36,7 @@ from .core import PredictionBundle, _check_finite
 from .errors import (
     ClassUnderpopulated,
     InvalidParameter,
+    LabelOutOfRange,
     MissingFeatures,
     MissingMcdStack,
     NonFiniteValue,
@@ -332,10 +333,39 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
 
 
 class CsfScores(dict):
-    """CSF id -> ConfidenceVector over all bundle rows, scored at cfg; probs is the logits softmax, if kept."""
+    """CSF id -> ConfidenceVector over all bundle rows, scored at cfg.
+
+    terms, if kept, maps nll and brier to their per-row terms (likelihood_terms) of the logits
+    softmax, NaN on new-class rows.
+    """
 
     cfg: SoftmaxConfig = SoftmaxConfig()
-    probs: np.ndarray | None = None
+    terms: dict[str, np.ndarray] | None = None
+
+
+def likelihood_terms(p: np.ndarray, labels: np.ndarray, metrics=("nll", "brier")) -> dict[str, np.ndarray]:
+    """The per-row terms that nll and brier, among metrics, reduce: row i's true-class probability
+    p[i, labels[i]] for nll, and sum_j (p[i, j] - onehot(labels[i])_j)^2 for brier.
+
+    A label that is not an integer in [0, c) raises LabelOutOfRange naming its row; bool labels and
+    integral floats read as integers. The brier terms are taken in p, which is overwritten: 1 is
+    subtracted at each label, then p is squared in place and summed by row, so no second (n, c)
+    array is made.
+    """
+    # the values are compared, not cast: a cast would read 1.7 as 1, and warn about a NaN
+    bad = np.flatnonzero(~((labels >= 0) & (labels < p.shape[1]) & (labels == np.floor(labels))))
+    if bad.size:
+        raise LabelOutOfRange(f"labels must be integers in [0, {p.shape[1]}) for likelihood metrics, "
+                              f"got {labels[bad[0]]} at row {bad[0]}")
+    labels = labels.astype(np.int64, copy=False)
+    rows = np.arange(p.shape[0])
+    terms = {}
+    if "nll" in metrics:
+        terms["nll"] = p[rows, labels]
+    if "brier" in metrics:
+        p[rows, labels] -= 1.0
+        terms["brier"] = np.sum(np.square(p, out=p), axis=1)
+    return terms
 
 
 def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.ndarray]:
@@ -380,17 +410,18 @@ def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.n
     return {csf_id: formulas[csf_id]() for csf_id in wanted}
 
 
-def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None, keep_probs: bool = False) -> CsfScores:
+def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None, keep_terms: bool = False) -> CsfScores:
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
-    One logits softmax feeds msr and pe, and the result holds it as probs when keep_probs asks for it
-    (for nll and brier); pe's entropy reads it in row blocks on this thread, so pe makes no (n, c)
-    temporary. One row-blocked pass over the MC-dropout stack feeds every mcd- CSF. maha
-    is fitted once, on the inlier-labeled rows, and scored last. The result records cfg, the softmax
-    configuration it was scored at.
+    One logits softmax feeds msr and pe; pe's entropy reads it in row blocks on this thread, so pe
+    makes no (n, c) temporary. With keep_terms, once the CSFs have read the softmax, it is reduced
+    in place to the per-row terms of nll and brier (likelihood_terms), which the result holds as
+    terms, NaN on new-class rows; the softmax itself is freed before maha. One row-blocked pass over
+    the MC-dropout stack feeds every mcd- CSF. maha is fitted once, on the inlier-labeled rows, and
+    scored last. The result records cfg, the softmax configuration it was scored at.
     """
     cfg = cfg or SoftmaxConfig()
-    p = softmax(bundle.logits, cfg) if keep_probs or not {MSR, PE}.isdisjoint(csf_ids) else None
+    p = softmax(bundle.logits, cfg) if keep_terms or not {MSR, PE}.isdisjoint(csf_ids) else None
     mc = {} if bundle.mcd_logits is None else _mc_scores(bundle.mcd_logits, cfg, csf_ids)
     formulas = {
         MSR: lambda: np.max(p, axis=-1),
@@ -420,12 +451,18 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
             # mls and mcd-mls are maxima of the f64 logits; no softmax, so no reduced precision
             precision = F64 if csf_id in (MLS, MCD_MLS) else cfg.precision
             out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=precision)
-    out.probs = p if keep_probs else None   # held for the whole run, so only when a study reads it
+    inlier = bundle.labels != bundle.ood_label
+    if keep_terms:
+        # two n-vectors held for the run in place of the (n, c) softmax; a new-class row's class 0
+        # stands in for its label, and its terms are then NaN
+        out.terms = likelihood_terms(p, np.where(inlier, bundle.labels, 0))
+        for terms in out.terms.values():
+            terms[~inlier] = np.nan
     # maha last: its temporaries then do not stack on the softmax's, and its GEMMs leave BLAS
     # threads spinning, which slowed an MC pass started right after one from 28 to 49 ms
     del p, formulas
     if MAHA in out:
-        inlier = bundle.labels != bundle.ood_label    # one fit, so a row has one maha score in every study
+        # one fit, so a row has one maha score in every study
         model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])
         out[MAHA] = score_mahalanobis(model, bundle.features)
     return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,3 +305,22 @@ def test_nll_brier_guards():
         brier(probs, np.array([0]))
     with pytest.raises(EmptyEvaluationSet):
         nll(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("labels, row", [([0.5, 1.7], 0), ([1, 1.7], 1), ([0, np.nan], 1), ([np.inf, 0], 0)])
+def test_nll_brier_refuse_labels_that_are_not_integers(labels, row):
+    # a cast to int64 would read 1.7 as class 1, and warn about a NaN before refusing it
+    probs = np.full((2, 2), 0.5)
+    for fn in (nll, brier):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LabelOutOfRange, match=f"at row {row}$"):
+                fn(probs, np.array(labels))
+
+
+def test_nll_brier_read_bool_and_integral_float_labels_as_classes():
+    probs = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]])
+    for fn in (nll, brier):
+        want = fn(probs, np.array([0, 1, 1]))
+        assert fn(probs, np.array([False, True, True])) == want
+        assert fn(probs, np.array([0.0, 1.0, 1.0])) == want

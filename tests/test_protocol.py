@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import load_fdbench_module, newclass_bundle, simple_bundle
 from test_metrics import argsort_ap
 from fdeval import (
     MetricReport,
+    PredictionBundle,
     SoftmaxConfig,
     StudySpec,
     accuracy,
@@ -39,6 +41,7 @@ from fdeval.errors import (
     EmptyEvaluationSet,
     EmptyNewClassStudy,
     InvalidParameter,
+    LabelOutOfRange,
     MissingMcdStack,
 )
 from fdeval.oracle import optimal_confidence
@@ -234,20 +237,23 @@ def test_study_errors_are_annotated_with_study_and_csf():
 
 
 def test_classifier_metrics_run_once_per_study(monkeypatch):
-    # accuracy, nll and brier rate the classifier, not a CSF: three CSFs share one value of each
+    # accuracy, nll and brier rate the classifier, not a CSF: three CSFs share one value of each,
+    # reduced once from the per-row terms, whether the scores keep them or the study takes them
     b = standard_bundle()
-    calls = []
-    for name in ("nll", "brier"):
-        real = getattr(fdeval.metrics, name)
-        monkeypatch.setattr(fdeval.metrics, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
     csfs = ["msr", "pe", "ext:demo"]
     spec = StudySpec(name="s", metrics=("aurc", "accuracy", "nll", "brier"))
-    report = run_study(b, spec, compute_csfs(b, csfs))
-    assert sorted(calls) == ["brier", "nll"]
     p = softmax(b.logits)
-    assert [report.values[("s", csf, "nll")] for csf in csfs] == [nll(p, b.labels)] * 3
-    assert [report.values[("s", csf, "brier")] for csf in csfs] == [brier(p, b.labels)] * 3
-    assert [report.values[("s", csf, "accuracy")] for csf in csfs] == [accuracy(failure_labels(b))] * 3
+    for keep_terms in (False, True):
+        calls = []
+        for name, real in list(fdeval.metrics.LIKELIHOOD_METRICS.items()):
+            monkeypatch.setitem(fdeval.metrics.LIKELIHOOD_METRICS, name,
+                                lambda terms, _name=name, _real=real: calls.append(_name) or _real(terms))
+        report = run_study(b, spec, compute_csfs(b, csfs, keep_terms=keep_terms))
+        monkeypatch.undo()
+        assert sorted(calls) == ["brier", "nll"], keep_terms
+        assert [report.values[("s", csf, "nll")] for csf in csfs] == [nll(p, b.labels)] * 3
+        assert [report.values[("s", csf, "brier")] for csf in csfs] == [brier(p, b.labels)] * 3
+        assert [report.values[("s", csf, "accuracy")] for csf in csfs] == [accuracy(failure_labels(b))] * 3
 
 
 def test_study_spec_validation():
@@ -354,11 +360,12 @@ def test_a_row_has_one_maha_score_in_every_study():
 
 @pytest.mark.parametrize("precision", ["f16", "f32", "f64"])
 def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
-    # the rows a study keeps of the run's logits softmax are a softmax of those rows; without
-    # the kept softmax, run_study softmaxes them at the configuration the scores were computed
-    # at, here no default in either field
+    # the terms kept of the run's logits softmax, at a study's inlier rows, are the terms of those
+    # rows' own softmax; without kept terms, run_study softmaxes the rows at the configuration the
+    # scores were computed at, here no default in either field. Either way nll and brier are
+    # metrics.nll and metrics.brier of that softmax, bit for bit. c = 300 sums each Brier row in
+    # more than one of numpy's 128-element pairwise blocks
     workloads = load_fdbench_module("workloads")
-    b = workloads.generate(workloads.Shape(n=400, c=6), 13)   # IID, COVARIATE and new-class rows
     cfg = SoftmaxConfig(precision=precision, temperature=1.7)
     metrics = ("nll", "brier")
     studies = [
@@ -366,19 +373,58 @@ def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
         StudySpec(name="iid", shift_filter=("IID",), metrics=metrics),
         StudySpec(name="new", kind=NEWCLASS, shift_filter=("IID", "NEWCLASS_SEMANTIC"), metrics=metrics),
     ]
-    shared = compute_csfs(b, ["mls"], cfg, keep_probs=True)
-    assert shared.probs.tobytes() == softmax(b.logits, cfg).tobytes()
-    assert compute_csfs(b, ["msr"], cfg).probs is None   # held for the run only when asked for
-    assert shared.cfg == cfg
-    for spec in studies:
-        sub = b.select(np.isin(b.shift_tags, spec.shift_filter))
-        inlier = sub.labels < sub.n_classes
-        assert inlier.sum() < b.n_samples and inlier.sum() > 0
-        own = softmax(sub.logits, cfg)[inlier]
-        want = {"nll": nll(own, sub.labels[inlier]), "brier": brier(own, sub.labels[inlier])}
-        for scores in (shared, compute_csfs(b, ["mls"], cfg)):
-            values = run_study(b, spec, scores).values
-            assert {m: values[(spec.name, "mls", m)] for m in metrics} == want, spec.name
+    for c in (7, 300):
+        b = workloads.generate(workloads.Shape(n=700, c=c), 13)   # IID, COVARIATE and new-class rows
+        kept = compute_csfs(b, ["mls"], cfg, keep_terms=True)
+        assert kept.cfg == cfg
+        new_class = b.labels == b.ood_label
+        assert sorted(kept.terms) == ["brier", "nll"]
+        for terms in kept.terms.values():
+            assert terms.shape == (b.n_samples,)
+            assert np.array_equal(np.isnan(terms), new_class)
+        assert compute_csfs(b, ["msr"], cfg).terms is None   # held for the run only when asked for
+        for spec in studies:
+            rows = np.isin(b.shift_tags, spec.shift_filter) & ~new_class
+            assert 0 < rows.sum() < b.n_samples
+            own = softmax(b.logits[rows], cfg)
+            want = {"nll": nll(own, b.labels[rows]).hex(), "brier": brier(own, b.labels[rows]).hex()}
+            for scores in (kept, compute_csfs(b, ["mls"], cfg)):
+                values = run_study(b, spec, scores).values
+                assert {m: values[(spec.name, "mls", m)].hex() for m in metrics} == want, (c, spec.name)
+
+
+def test_likelihood_terms_refuse_a_label_outside_the_classes():
+    # a bundle built without validate_bundle: a -1 label would index the last class; both the kept
+    # terms and the study's own softmax refuse it, naming its row
+    logits = np.random.default_rng(5).normal(size=(6, 3))
+    b = PredictionBundle(logits=logits, labels=np.array([0, 1, 2, -1, 0, 1]), shift_tags=np.full(6, "IID"))
+    with pytest.raises(LabelOutOfRange, match=r"got -1 at row 3$"):
+        compute_csfs(b, ["msr"], keep_terms=True)
+    with pytest.raises(LabelOutOfRange, match=r"^\[study s\] .*got -1 at row 3$"):
+        run_study(b, StudySpec(name="s", metrics=("brier",)), compute_csfs(b, ["msr"]))
+
+
+def test_nll_and_brier_terms_hold_one_softmax():
+    # the run keeps two n-vectors of the logits softmax, not the softmax: scoring and both metrics
+    # then peak at about one softmax above the bundle's own arrays. Measured: 1.19x of n * c * 8
+    # here (the softmax, then pe's row blocks), against 3.05x when the run held the softmax and each
+    # study copied its rows, then the Brier score copied them again
+    workloads = load_fdbench_module("workloads")
+    b = workloads.generate(workloads.Shape(n=20000, c=50), 3)
+    spec = StudySpec(name="s", metrics=("nll", "brier"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scores = compute_csfs(b, ["msr", "pe"], keep_terms=True)
+        values = run_study(b, spec, scores).values
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * b.n_samples * b.n_classes * 8
+    assert {metric for (_, _, metric) in values} == {"nll", "brier"}
+    held = [v for v in vars(scores).values() if isinstance(v, np.ndarray)]
+    held += list(scores.terms.values()) + [vec.scores for vec in scores.values()]
+    assert held and all(a.ndim == 1 for a in held)
 
 
 @pytest.mark.parametrize("tied", [False, True])
