@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionBundle, _check_finite
+from .core import _ROW_BLOCK, PredictionBundle, _check_finite, _release_pages
 from .errors import (
     ClassUnderpopulated,
     InvalidParameter,
@@ -170,9 +170,14 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     features are degenerate enough that the trace itself vanishes.
     """
     feats = np.asarray(train_features, dtype=np.float64)
-    labels = np.asarray(train_labels).astype(np.int64).reshape(-1)
+    labels = np.asarray(train_labels).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise InvalidParameter(f"maha: features {feats.shape} and labels {labels.shape} do not align")
+    # the values are compared, not cast: a cast would read 1.7 as 1, and warn about a NaN or an inf
+    bad = np.flatnonzero(~((np.abs(labels) < 2.0**63) & (labels == np.floor(labels))))
+    if bad.size:
+        raise LabelOutOfRange(f"maha: labels must be integers within int64, got {labels[bad[0]]} at row {bad[0]}")
+    labels = labels.astype(np.int64, copy=False)
     if feats.shape[1] == 0:
         raise InvalidParameter("maha: features have zero width")
     class_ids, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -217,12 +222,6 @@ class MahaModel:
 # 8 MB. The block sets the row count of each GEMM, and with it OpenBLAS's kernel
 # and so the bits, so it stays.
 _BLOCK = 1 << 20
-# f64 elements per block of the row-wise passes of _map_rows (rows x passes x
-# classes of MC-dropout probabilities): 1 MB, so that a block and its
-# temporaries stay in cache. The four softmax MC CSFs of scores-wide took
-# 61 ms with 8 MB blocks and 46 ms with these on one thread, 28 ms on two
-# (medians of 31, 2-core VM).
-_ROW_BLOCK = 1 << 17
 # Relative margin of the candidate pick. The expanded distance of row i to
 # class c differs from the difference form by cancellation and whitening
 # error, measured at about u * cond(L) * (|z_i|^2 + max_c |m_c|^2), u = 1.1e-16.
@@ -373,7 +372,8 @@ def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.n
 
     Per block: the softmax of every pass, their mean over passes, the entropies of both, and the
     logits' mean over passes for mcd-mls. Every step works row by row, so a block gives the bits of
-    the whole stack, and only a block's temporaries are held per thread.
+    the whole stack, and only a block's temporaries are held per thread. A block of a stack mapped
+    from a .f64 file releases its pages once read (core._release_pages).
     """
     n, t, c = stack.shape
     wanted = {MCD_MSR, MCD_PE, MCD_EE, MCD_MI, MCD_MLS}.intersection(csf_ids)
@@ -385,19 +385,21 @@ def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.n
     mls = np.empty(n) if MCD_MLS in wanted else None
 
     def block(lo: int, hi: int) -> None:
+        rows = stack[lo:hi]
         if mls is not None:
-            np.max(np.mean(stack[lo:hi], axis=1), axis=-1, out=mls[lo:hi])
-        if wanted == {MCD_MLS}:
-            return
-        p_mc = _softmax(stack[lo:hi], cfg)
-        if expected_entropy is not None:
-            np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:hi])
-        mean_p = np.mean(p_mc, axis=1)
-        del p_mc
-        if msr is not None:
-            np.max(mean_p, axis=-1, out=msr[lo:hi])
-        if predictive_entropy is not None:
-            predictive_entropy[lo:hi] = _entropy(mean_p)
+            np.max(np.mean(rows, axis=1), axis=-1, out=mls[lo:hi])
+        if wanted != {MCD_MLS}:
+            p_mc = _softmax(rows, cfg)
+            if expected_entropy is not None:
+                np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:hi])
+            mean_p = np.mean(p_mc, axis=1)
+            del p_mc
+            if msr is not None:
+                np.max(mean_p, axis=-1, out=msr[lo:hi])
+            if predictive_entropy is not None:
+                predictive_entropy[lo:hi] = _entropy(mean_p)
+        # nothing reads these rows of a mapped stack again, so their pages go back now
+        _release_pages(rows)
 
     _map_rows(block, n, t * c)
     formulas = {

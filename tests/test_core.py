@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import newclass_bundle, simple_bundle
-from fdeval.core import ALL_TAGS, NEWCLASS_TAGS, _exact_tag_codes
+from fdeval.core import _ROW_BLOCK, ALL_TAGS, NEWCLASS_TAGS, _exact_tag_codes
 from fdeval import (
     NEWCLASS,
     STANDARD,
@@ -138,6 +138,65 @@ def test_binary_read_refuses_a_short_payload(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "stat", stale_stat)
     with pytest.raises(ShapeMismatch, match="logits.f64: payload ended after 32 of 48 bytes"):
         load_bundle(tmp_path / "b")
+
+
+def test_f64_arrays_are_read_only_maps_of_their_files(tmp_path):
+    bundle = rich_bundle(seed=5)
+    back = load_bundle(write_bundle(bundle, tmp_path / "b", binary=True))
+    arrays = {"logits": back.logits, "mcd_logits": back.mcd_logits, "features": back.features,
+              **{f"external_{name}": col for name, col in back.externals.items()}}
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert np.array_equal(back.mcd_logits, bundle.mcd_logits)
+
+
+def test_writing_a_loaded_f64_bundle_over_its_files_keeps_it_readable(tmp_path):
+    # the files are replaced, not truncated: a truncated mapped file ends the next read in SIGBUS
+    bundle = rich_bundle(seed=6)
+    back = load_bundle(write_bundle(bundle, tmp_path / "b", binary=True))
+    write_bundle(rich_bundle(seed=7, n=3), tmp_path / "b", binary=True)
+    assert np.array_equal(back.mcd_logits, bundle.mcd_logits)
+    assert np.array_equal(back.features, bundle.features)
+    assert load_bundle(tmp_path / "b").n_samples == 3
+    assert not list((tmp_path / "b").glob("*.part"))
+
+
+def mc_block_bundle(t=4, c=256):
+    """A bundle whose MC stack spans three finite-check row blocks, the last one short; its values
+    are quarters, so the CSV stays small."""
+    per_block = _ROW_BLOCK // (t * c)
+    n = 2 * per_block + 44
+    rng = np.random.default_rng(11)
+    return simple_bundle(rng.integers(-8, 8, (n, c)) / 4, rng.integers(0, c, n),
+                         mcd_logits=rng.integers(-8, 8, (n, t, c)) / 4), per_block
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_nonfinite_mc_cell_is_named_by_its_row_in_any_block(tmp_path, binary):
+    bundle, per_block = mc_block_bundle()
+    n = bundle.n_samples
+    for row, value in ((0, np.nan), (per_block + 5, np.inf), (n - 1, -np.inf)):
+        mcd = bundle.mcd_logits.copy()
+        mcd[row, 2, 17] = value
+        broken = PredictionBundle(bundle.logits, bundle.labels, bundle.shift_codes, mcd_logits=mcd)
+        directory = write_bundle(broken, tmp_path / f"b{row}", binary=binary)
+        with pytest.raises(NonFiniteValue, match=rf"^mcd_logits: non-finite value at row {row}$"):
+            load_bundle(directory)
+
+
+@pytest.mark.parametrize("stem", ["logits", "features", "external_alpha"])
+def test_nonfinite_f64_cell_is_named_by_its_row(tmp_path, stem):
+    directory = write_bundle(rich_bundle(seed=8), tmp_path / "b", binary=True)
+    path = directory / f"{stem}.f64"
+    raw = bytearray(path.read_bytes())
+    cols = struct.unpack("<I", raw[8:12])[0]
+    at = 16 + 8 * (11 * cols + cols - 1)   # the last value of row 11
+    raw[at:at + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteValue, match=rf"^{stem}: non-finite value at row 11$"):
+        load_bundle(directory)
 
 
 def test_binary_bad_magic(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from fdeval import (
 from fdeval.errors import (
     ClassUnderpopulated,
     InvalidParameter,
+    LabelOutOfRange,
     MissingFeatures,
     MissingMcdStack,
     NonFiniteValue,
@@ -287,6 +289,30 @@ def test_mahalanobis_class_underpopulated():
     feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ClassUnderpopulated, match="class 1"):
         fit_mahalanobis(feats, np.array([0, 0, 1]))
+
+
+@pytest.mark.parametrize("labels, row", [
+    ([0.5, 0.2, 1.7, 1.2, 0.9, 1.0], 0),   # a cast read these as classes 0 and 1
+    ([0, 0, 1, 1, 2, 2.5], 5),
+    ([0, 0, 1, np.nan, 2, 2], 3),           # the cast warned, a traceback under -W error
+    ([0, 0, 1, 1, -np.inf, 2], 4),
+    ([0, 0, 1, 1, 1e300, 2], 4),
+])
+def test_mahalanobis_refuses_labels_that_are_not_integers(labels, row):
+    feats = np.random.default_rng(4).normal(size=(6, 2))
+    with pytest.raises(LabelOutOfRange, match=rf"maha: .* at row {row}$"):
+        with np.errstate(all="raise"):
+            fit_mahalanobis(feats, np.array(labels))
+
+
+def test_mahalanobis_reads_bool_and_integral_float_labels_as_classes():
+    feats = np.random.default_rng(5).normal(size=(6, 2))
+    want = fit_mahalanobis(feats, np.array([1, 1, 0, 0, 1, 0]))
+    for labels in (np.array([True, True, False, False, True, False]), np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0])):
+        got = fit_mahalanobis(feats, labels)
+        assert got.class_ids.tolist() == [0, 1]
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.chol_lower.tobytes() == want.chol_lower.tobytes()
 
 
 def mask_loop_fit(feats, labels):
@@ -753,6 +779,51 @@ def test_worker_count_does_not_change_the_bytes(precision, monkeypatch):
     for csf in CSF_IDS:
         assert got[2][csf].scores.tobytes() == got[8][csf].scores.tobytes() == got[1][csf].scores.tobytes(), csf
         assert got[1][csf].scores.tobytes() == old_compute_csf(b, csf, cfg)[0].tobytes(), csf
+
+
+# ru_maxrss would carry over the peak of the process that started this one, through exec, so the
+# peak is read as VmHWM, this process's own high-water mark of resident pages
+LOAD_AND_SCORE = """\
+import json, sys
+from fdeval import load_bundle
+from fdeval.scores import SoftmaxConfig, compute_csfs
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = peak_kb()
+bundle = load_bundle(sys.argv[1])
+got = {p: compute_csfs(bundle, sys.argv[2:], SoftmaxConfig(p)) for p in ("f16", "f32", "f64")}
+rise_kb = peak_kb() - before
+print(json.dumps({"rise_kb": rise_kb, "hex": {p: {csf: [float.hex(x) for x in vec.scores] for csf, vec in scores.items()}
+                                              for p, scores in got.items()}}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_mapped_mc_stack_is_not_held_and_scores_as_its_csv(tmp_path):
+    # a 64 MB stack: loading it from .f64 copied it, and the copy stayed for the whole run; mapped,
+    # each row block's pages go back once the finite check and then the MC pass have read it
+    n, t, c = 1000, 32, 250
+    rng = np.random.default_rng(61)
+    logits = np.round(rng.normal(0.0, 3.0, (n, c)) * 16) / 16   # sixteenths, so the CSV stays short
+    mcd = np.round((logits[:, None, :] + rng.normal(0.0, 1.0, (n, t, c))) * 16) / 16
+    bundle = simple_bundle(logits, rng.integers(0, c, n), mcd_logits=mcd)
+    binary = fdeval.write_bundle(bundle, tmp_path / "f64", binary=True)
+    text = fdeval.write_bundle(bundle, tmp_path / "csv")
+    del bundle, logits, mcd
+    csfs = MC_SOFTMAX_CSFS + ["mcd-mls"]
+    path = os.pathsep.join(filter(None, [str(Path(fdeval.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LOAD_AND_SCORE, str(binary), *csfs],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    mapped = json.loads(proc.stdout)
+    stack_kb = n * t * c * 8 // 1024
+    assert mapped["rise_kb"] < stack_kb // 2, (mapped["rise_kb"], stack_kb)
+    held = fdeval.load_bundle(text)
+    for precision in PRECISIONS:
+        scores = compute_csfs(held, csfs, SoftmaxConfig(precision))
+        for csf in csfs:
+            assert mapped["hex"][precision][csf] == [float.hex(x) for x in scores[csf].scores], (precision, csf)
 
 
 def test_workers_take_the_callers_error_state_and_raise_in_it(monkeypatch):
