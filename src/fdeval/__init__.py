@@ -10,7 +10,6 @@ from .core import (
     ShiftTag,
     failure_labels,
     load_bundle,
-    predictions,
     validate_bundle,
     write_bundle,
 )

@@ -196,9 +196,10 @@ def _require_bundle(rc: RunConfig):
 
 
 def _standard_csf(rc: RunConfig, csf: str):
-    """The bundle and one CSF's confidences over all of its rows, the input of the single-CSF commands."""
+    """One CSF's confidences over all bundle rows and the bundle's standard failure labels, the input of
+    the single-CSF commands."""
     bundle = _require_bundle(rc)
-    return bundle, compute_csf(bundle, csf, rc.softmax)
+    return compute_csf(bundle, csf, rc.softmax), failure_labels(bundle, STANDARD)
 
 
 def _write(rc: RunConfig, name: str, content) -> Path:
@@ -212,7 +213,7 @@ def _write(rc: RunConfig, name: str, content) -> Path:
 
 
 def cmd_score(rc: RunConfig, args) -> list[Path]:
-    _, vec = _standard_csf(rc, args.csf)
+    vec, _ = _standard_csf(rc, args.csf)
     return [_write(rc, f"scores_{safe_name(args.csf)}.json", {
         "csf": vec.csf_id,
         "precision": vec.precision_mode,
@@ -261,8 +262,7 @@ def cmd_evaluate(rc: RunConfig, args) -> list[Path]:
 
 
 def cmd_rc_curve(rc: RunConfig, args) -> list[Path]:
-    bundle, vec = _standard_csf(rc, args.csf)
-    fl = failure_labels(bundle, STANDARD)
+    vec, fl = _standard_csf(rc, args.csf)
     curve = rc_curve(vec, fl)
     value = aurc(curve)
     return [
@@ -277,15 +277,13 @@ def cmd_rc_curve(rc: RunConfig, args) -> list[Path]:
 
 
 def cmd_sgr(rc: RunConfig, args) -> list[Path]:
-    bundle, vec = _standard_csf(rc, args.csf)
-    fl = failure_labels(bundle, STANDARD)
+    vec, fl = _standard_csf(rc, args.csf)
     result = sgr_select(vec, fl.residuals, r_star=args.rstar, delta=args.delta)
     return [_write(rc, "sgr.json", {"csf": args.csf, **asdict(result)})]
 
 
 def cmd_calibrate(rc: RunConfig, args) -> list[Path]:
-    bundle, vec = _standard_csf(rc, args.csf)
-    fl = failure_labels(bundle, STANDARD)
+    vec, fl = _standard_csf(rc, args.csf)
     model = platt_fit(vec, fl.residuals, prior_smoothing=args.smoothing)
     calibrated = platt_apply(model, vec)
     value = ece(calibrated, fl.residuals, bins=rc.ece_bins)

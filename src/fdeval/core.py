@@ -18,6 +18,8 @@ shift.csv is always CSV.
 
 A .f64 payload is mapped, not copied: its array is a read-only view of the
 file, so a bundle file must not be truncated or rewritten while it is loaded.
+The n-vectors (labels, external scores) are copied out of their mappings, so a
+loaded bundle holds at most three open files: logits, MC stack and features.
 Once validate_bundle has checked a row block of the MC-dropout stack, and once
 the MC pass has read one, that block's pages are released; a later read faults
 them back in from the page cache.
@@ -57,6 +59,10 @@ _HEADER = 16
 # softmax MC CSFs of scores-wide took 61 ms with 8 MB blocks and 46 ms with these on one thread,
 # 28 ms on two (medians of 31, 2-core VM).
 _ROW_BLOCK = 1 << 17
+
+
+def _rows_per_block(width: int, block: int) -> int:
+    return max(1, block // max(width, 1))
 
 
 class ShiftTag(str, enum.Enum):
@@ -167,6 +173,16 @@ def _check_finite(arr: np.ndarray, name: str, first_row: int = 0) -> None:
         raise NonFiniteValue(f"{name}: non-finite value at row {first_row + row}")
 
 
+def integer_values(values: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+    """values as int64, when each is an integer in [lo, hi); else LabelOutOfRange "<what>, got <value> at
+    row <row>" for the first other one. The values are compared, not cast: a cast would read 1.7 as 1,
+    and warn about a NaN or an inf. bool and integral floats read as integers."""
+    bad = np.flatnonzero(~((values >= lo) & (values < hi) & (values == np.floor(values))))
+    if bad.size:
+        raise LabelOutOfRange(f"{what}, got {values[bad[0]]} at row {bad[0]}")
+    return values.astype(np.int64, copy=False)
+
+
 def _release_pages(arr: np.ndarray) -> None:
     """Drop the whole memory pages that arr spans from this process, when arr is a contiguous view of a
     read-only file mapping (a loaded .f64 file); a later read faults them back in from the page cache.
@@ -251,16 +267,7 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
     labels = np.asarray(bundle.labels)
     if labels.shape != (n,):
         raise ShapeMismatch(f"labels: expected shape ({n},), got {labels.shape}")
-    _check_finite(labels.astype(np.float64), "labels")
-    rounded = np.rint(labels)
-    if not np.array_equal(rounded, labels):
-        row = int(np.argwhere(rounded != labels)[0][0])
-        raise LabelOutOfRange(f"labels: non-integer label at row {row}")
-    bad = (rounded < 0) | (rounded > c)  # before the cast, which a label such as 1e300 overflows
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise LabelOutOfRange(f"labels: label {rounded[row]:g} at row {row} outside [0, {c}]")
-    bundle.labels = rounded.astype(np.int64)
+    bundle.labels = integer_values(labels, 0, c + 1, f"labels must be integers in [0, {c}]")
 
     if bundle.shift_codes.shape != (n,):
         raise ShapeMismatch(f"shift: expected shape ({n},), got {bundle.shift_codes.shape}")
@@ -279,7 +286,7 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
         # one row block at a time, whose pages are then released: only the MC pass reads them again.
         # An inf or a NaN always makes a block's sum non-finite, so only then are its values looked
         # at one by one; finite values whose sum overflows take that path too, and pass it
-        step = max(1, _ROW_BLOCK // max(mcd[:1].size, 1))
+        step = _rows_per_block(mcd[:1].size, _ROW_BLOCK)
         for lo in range(0, n, step):
             block = mcd[lo:lo + step]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -383,7 +390,8 @@ def load_bundle(path: str | Path) -> PredictionBundle:
     tags = _read_shift_tags(shift_path)
     mcd = _read_matrix(directory, "mcd_logits", n * t, c).reshape(n, t, c) if t else None
     features = _read_matrix(directory, "features", n, d) if d else None
-    externals = {name: _read_matrix(directory, f"external_{name}", n, 1)[:, 0] for name in external_names}
+    # copied, so that each column's mapping, and its file descriptor, is released before the next is read
+    externals = {name: _read_matrix(directory, f"external_{name}", n, 1)[:, 0].copy() for name in external_names}
 
     bundle = PredictionBundle(
         logits=logits,
@@ -429,11 +437,6 @@ def write_bundle(bundle: PredictionBundle, path: str | Path, binary: bool = Fals
         emit(f"external_{name}", col.reshape(-1, 1))
     (directory / "shift.csv").write_text("\n".join(bundle.shift_tags.tolist()) + "\n")
     return directory
-
-
-def predictions(bundle: PredictionBundle) -> np.ndarray:
-    """Predicted class per row: bundle.predicted, the argmax over logits, lowest index on ties."""
-    return bundle.predicted
 
 
 def failure_labels(bundle: PredictionBundle, study_kind: str = STANDARD, rows: np.ndarray | None = None) -> FailureLabels:

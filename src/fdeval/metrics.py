@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FailureLabels
-from .errors import DegenerateLabels, EmptyEvaluationSet, LabelOutOfRange, ShapeMismatch
+from .core import FailureLabels, integer_values
+from .errors import DegenerateLabels, EmptyEvaluationSet, ShapeMismatch
 from .scores import ConfidenceVector, likelihood_terms
 
 
@@ -43,11 +43,8 @@ def _conf_array(scores) -> np.ndarray:
 def _residuals_and_mask(failure) -> tuple[np.ndarray, np.ndarray]:
     """The residuals, each 0 or 1, as int64, and the evaluation mask, all rows for a bare array."""
     res, mask = (failure.residuals, failure.eval_mask) if isinstance(failure, FailureLabels) else (failure, None)
-    res = np.asarray(res).reshape(-1)
-    bad = np.flatnonzero((res != 0) & (res != 1))
-    if bad.size:
-        raise LabelOutOfRange(f"residuals must be 0 or 1, got {res[bad[0]]} at row {bad[0]}")
-    return res.astype(np.int64), np.ones(res.shape[0], dtype=bool) if mask is None else mask.astype(bool)
+    res = integer_values(np.asarray(res).reshape(-1), 0, 2, "residuals must be 0 or 1")
+    return res, np.ones(res.shape[0], dtype=bool) if mask is None else mask.astype(bool)
 
 
 def _masked(scores, failure) -> tuple[np.ndarray, np.ndarray]:

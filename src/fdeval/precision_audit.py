@@ -100,6 +100,8 @@ def synthesize_highconf_bundle(
         raise InvalidParameter(f"failure_rate must lie in (0, 1), got {failure_rate}")
     if not 0 <= gap_low <= gap_high < np.inf:    # a NaN fails every comparison
         raise InvalidParameter(f"need 0 <= gap_low <= gap_high < inf, got [{gap_low}, {gap_high}]")
+    if seed < 0:   # numpy's generator takes no negative seed
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     residuals = (rng.random(n) < failure_rate).astype(np.int8)

@@ -29,23 +29,14 @@ from .risk_control import ece, platt_apply, platt_fit
 from .scores import CsfScores, compute_csf, likelihood_terms, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
-KNOWN_METRICS = (
-    "aurc",
-    "e-aurc",
-    "auroc-f",
-    "ap-f",
-    "ap-f-err",
-    "auroc-out",
-    "accuracy",
-    "nll",
-    "brier",
-    "ece",
-)
 DEFAULT_METRICS = ("aurc", "e-aurc", "auroc-f", "accuracy")
-RANKING_METRICS = frozenset({"aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "auroc-out"})
+# the metrics read off a (study, CSF) sweep: the table metrics.SWEEP_METRICS, and two that also read the
+# study's optimal AURC or its inlier flags
+RANKING_METRICS = frozenset({*M.SWEEP_METRICS, "e-aurc", "auroc-out"})
 # the classifier metrics that read the logits softmax, so a run keeps their per-row terms only when a
 # study asks for one
 SOFTMAX_METRICS = frozenset(M.LIKELIHOOD_METRICS)
+KNOWN_METRICS = (*M.SWEEP_METRICS, "e-aurc", "auroc-out", "accuracy", *M.LIKELIHOOD_METRICS, "ece")
 
 
 @dataclass(frozen=True)

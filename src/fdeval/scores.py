@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, PredictionBundle, _check_finite, _release_pages
+from .core import _ROW_BLOCK, PredictionBundle, _check_finite, _release_pages, _rows_per_block, integer_values
 from .errors import (
     ClassUnderpopulated,
     InvalidParameter,
-    LabelOutOfRange,
     MissingFeatures,
     MissingMcdStack,
     NonFiniteValue,
@@ -173,11 +172,7 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     labels = np.asarray(train_labels).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise InvalidParameter(f"maha: features {feats.shape} and labels {labels.shape} do not align")
-    # the values are compared, not cast: a cast would read 1.7 as 1, and warn about a NaN or an inf
-    bad = np.flatnonzero(~((np.abs(labels) < 2.0**63) & (labels == np.floor(labels))))
-    if bad.size:
-        raise LabelOutOfRange(f"maha: labels must be integers within int64, got {labels[bad[0]]} at row {bad[0]}")
-    labels = labels.astype(np.int64, copy=False)
+    labels = integer_values(labels, -2.0**63, 2.0**63, "maha: labels must be integers within int64")
     if feats.shape[1] == 0:
         raise InvalidParameter("maha: features have zero width")
     class_ids, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -232,10 +227,6 @@ _BLOCK = 1 << 20
 # more than three orders of magnitude, and the pick then holds the argmin of
 # the difference form.
 _MAHA_MARGIN = 1e-8
-
-
-def _rows_per_block(width: int, block: int = _BLOCK) -> int:
-    return max(1, block // max(width, 1))
 
 
 def _workers() -> int:
@@ -307,7 +298,7 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
     margin = _MAHA_MARGIN * (zz + mm.max())
 
     rows, classes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # n = 0 concatenates too
-    step = _rows_per_block(model.means.shape[0])
+    step = _rows_per_block(model.means.shape[0], _BLOCK)
     for lo in range(0, n, step):
         block = z[lo:lo + step] @ m.T
         block *= -2.0
@@ -323,7 +314,7 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
     rows, classes = np.concatenate(rows), np.concatenate(classes)
 
     best = np.full(n, np.inf)
-    step = _rows_per_block(dim)
+    step = _rows_per_block(dim, _BLOCK)
     for lo in range(0, rows.size, step):
         r, c = rows[lo:lo + step], classes[lo:lo + step]
         w = _whiten(feats[r] - model.means[c], inv_chol)
@@ -346,17 +337,11 @@ def likelihood_terms(p: np.ndarray, labels: np.ndarray, metrics=("nll", "brier")
     """The per-row terms that nll and brier, among metrics, reduce: row i's true-class probability
     p[i, labels[i]] for nll, and sum_j (p[i, j] - onehot(labels[i])_j)^2 for brier.
 
-    A label that is not an integer in [0, c) raises LabelOutOfRange naming its row; bool labels and
-    integral floats read as integers. The brier terms are taken in p, which is overwritten: 1 is
-    subtracted at each label, then p is squared in place and summed by row, so no second (n, c)
-    array is made.
+    A label that is not an integer in [0, c) raises LabelOutOfRange naming its row (core.integer_values).
+    The brier terms are taken in p, which is overwritten: 1 is subtracted at each label, then p is
+    squared in place and summed by row, so no second (n, c) array is made.
     """
-    # the values are compared, not cast: a cast would read 1.7 as 1, and warn about a NaN
-    bad = np.flatnonzero(~((labels >= 0) & (labels < p.shape[1]) & (labels == np.floor(labels))))
-    if bad.size:
-        raise LabelOutOfRange(f"labels must be integers in [0, {p.shape[1]}) for likelihood metrics, "
-                              f"got {labels[bad[0]]} at row {bad[0]}")
-    labels = labels.astype(np.int64, copy=False)
+    labels = integer_values(labels, 0, p.shape[1], f"labels must be integers in [0, {p.shape[1]}) for likelihood metrics")
     rows = np.arange(p.shape[0])
     terms = {}
     if "nll" in metrics:

@@ -188,6 +188,14 @@ def test_precision_audit_synthetic_honors_env_seed(tmp_path, monkeypatch):
     assert run(args + [tmp_path / "d"]) == 2
 
 
+def test_precision_audit_refuses_a_negative_env_seed(tmp_path, monkeypatch, capsys):
+    # numpy's generator takes no negative seed, and its ValueError once ended the run in a traceback
+    monkeypatch.setenv("FDSHIFT_SEED", "-1")
+    assert run(["precision-audit", "--synthetic", "--n", "50", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not tmp_path.joinpath("precision_audit.json").exists()
+
+
 def test_config_file_flow(toy_bundle_dir, tmp_path):
     cfg = {
         "bundle": str(toy_bundle_dir),

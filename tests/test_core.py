@@ -1,7 +1,12 @@
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import newclass_bundle, simple_bundle
+from conftest import REPO, newclass_bundle, simple_bundle
 from fdeval.core import _ROW_BLOCK, ALL_TAGS, NEWCLASS_TAGS, _exact_tag_codes
 from fdeval import (
     NEWCLASS,
@@ -19,10 +24,11 @@ from fdeval import (
     ShiftTag,
     failure_labels,
     load_bundle,
-    predictions,
     validate_bundle,
     write_bundle,
 )
+from fdeval.metrics import _residuals_and_mask
+from fdeval.scores import fit_mahalanobis, likelihood_terms
 from fdeval.errors import (
     EmptyNewClassStudy,
     LabelOutOfRange,
@@ -143,13 +149,42 @@ def test_binary_read_refuses_a_short_payload(tmp_path, monkeypatch):
 def test_f64_arrays_are_read_only_maps_of_their_files(tmp_path):
     bundle = rich_bundle(seed=5)
     back = load_bundle(write_bundle(bundle, tmp_path / "b", binary=True))
-    arrays = {"logits": back.logits, "mcd_logits": back.mcd_logits, "features": back.features,
-              **{f"external_{name}": col for name, col in back.externals.items()}}
+    arrays = {"logits": back.logits, "mcd_logits": back.mcd_logits, "features": back.features}
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     assert np.array_equal(back.mcd_logits, bundle.mcd_logits)
+    # the n-vectors are copied out of their mappings, which then close with their file descriptors
+    for name, col in back.externals.items():
+        assert col.flags.owndata and col.flags.writeable, name
+        assert np.array_equal(col, bundle.externals[name])
+
+
+# a child process whose open-file limit is lower than the bundle's file count
+SCORE_UNDER_FILE_LIMIT = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from fdeval.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_f64_bundle_of_more_external_columns_than_open_files_scores(tmp_path):
+    # each external column is copied out of its mapping, so the column's file descriptor is closed
+    # before the next is read; a mapped column held one for the run, and 60 of them under a limit of
+    # 40 ended in OSError: [Errno 24]
+    rng = np.random.default_rng(9)
+    externals = {f"x{k:02d}": rng.random(20) for k in range(60)}
+    bundle = simple_bundle(rng.normal(size=(20, 3)), rng.integers(0, 3, 20), externals=externals)
+    directory = write_bundle(bundle, tmp_path / "b", binary=True)
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["40", "score", "--bundle", str(directory), "--csf", "ext:x59", "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", SCORE_UNDER_FILE_LIMIT, *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scores = json.loads((tmp_path / "out" / "scores_ext-x59.json").read_text())["scores"]
+    assert scores == pytest.approx(externals["x59"].tolist(), rel=1e-11)   # JSON keeps 12 digits
 
 
 def test_writing_a_loaded_f64_bundle_over_its_files_keeps_it_readable(tmp_path):
@@ -353,10 +388,33 @@ def test_nonfinite_logits_named_by_row():
 
 
 def test_label_validation():
-    with pytest.raises(LabelOutOfRange, match="row 1"):
+    with pytest.raises(LabelOutOfRange, match=r"^labels must be integers in \[0, 2\], got 5 at row 1$"):
         simple_bundle([[1.0, 0.0], [0.0, 1.0]], [0, 5])
-    with pytest.raises(LabelOutOfRange, match="non-integer"):
+    with pytest.raises(LabelOutOfRange, match=r"^labels must be integers in \[0, 2\], got 0.5 at row 0$"):
         simple_bundle([[1.0, 0.0]], [0.5])
+
+
+# the four readers of core.integer_values, each with the value below its range and its upper bound, which
+# the range leaves out: bundle labels are in [0, c], maha labels within int64, likelihood labels in
+# [0, c) and residuals 0 or 1
+INTEGER_READERS = {
+    "validate_bundle": (lambda v: simple_bundle(np.eye(4, 3), v), -1.0, 4.0),
+    "fit_mahalanobis": (lambda v: fit_mahalanobis(np.ones((4, 2)), v), -2.0**64, 2.0**63),
+    "likelihood_terms": (lambda v: likelihood_terms(np.full((4, 3), 1 / 3), v), -1.0, 3.0),
+    "_residuals_and_mask": (_residuals_and_mask, -1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", ["half", "nan", "inf", "below", "upper"])
+@pytest.mark.parametrize("reader", list(INTEGER_READERS))
+def test_integer_check_names_the_first_value_outside_each_range(reader, bad):
+    fn, below, upper = INTEGER_READERS[reader]
+    value = {"half": 0.5, "nan": np.nan, "inf": np.inf, "below": below, "upper": upper}[bad]
+    values = np.array([0.0, 1.0, value, 0.5])   # row 3 is no integer either, but row 2 comes first
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(LabelOutOfRange, match=rf", got {re.escape(str(values[2]))} at row 2$"):
+            fn(values)
 
 
 def test_ood_label_iff_newclass_tag():
@@ -398,13 +456,13 @@ def test_shape_guards():
 
 def test_predictions_tie_takes_lowest_index():
     b = simple_bundle([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]], [0, 1])
-    assert predictions(b).tolist() == [0, 1]
+    assert b.predicted.tolist() == [0, 1]
 
 
 def test_predictions_are_the_bundle_argmax_taken_once_and_read_only():
     b = rich_bundle()
-    p = predictions(b)
-    assert p is b.predicted and predictions(b) is p
+    p = b.predicted
+    assert b.predicted is p
     assert p.tolist() == np.argmax(b.logits, axis=1).tolist()
     with pytest.raises(ValueError, match="read-only"):
         p[0] = 0

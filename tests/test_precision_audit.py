@@ -83,6 +83,8 @@ def test_synthesize_parameter_guards():
         synthesize_highconf_bundle(n=5, c=3, failure_rate=0.3, gap_low=3, gap_high=2, seed=0)
     with pytest.raises(InvalidParameter, match="largest array numpy can index"):   # before any allocation
         synthesize_highconf_bundle(n=100, c=10**18, failure_rate=0.3, gap_low=1, gap_high=2, seed=0)
+    with pytest.raises(InvalidParameter, match="^seed must be >= 0, got -1$"):   # numpy's generator refuses it
+        synthesize_highconf_bundle(n=5, c=3, failure_rate=0.3, gap_low=1, gap_high=2, seed=-1)
 
 
 def test_audit_rate_ordering_and_ranking_damage():
