@@ -1,9 +1,11 @@
-"""Rewrite tests/golden.json, the sha256 and size of every file that the toy-bundle runs write.
+"""Rewrite tests/golden.json, the sha256 and size of every file that the golden runs write.
 
     python3 scripts/golden.py
 
-Each run calls `fdeval.cli.main` in-process on data/toy_bundle, or on a copy of
-it, into a directory of its own. Its record holds the exit code, stdout (with
+Each run calls `fdeval.cli.main` in-process, into a directory of its own, on
+data/toy_bundle, on a copy of it, or on the blocks bundle: CI's 3000-row
+bundle of fdbench's generator (50 classes, 4 MC passes, 32 features, seed 5),
+whose logits pass and MC pass both take several row blocks. Its record holds the exit code, stdout (with
 the output directory written as <out>), stderr and one entry per written file.
 The script prints the name of every entry that differs from the old manifest.
 tests/test_golden.py reruns the same runs and names every such entry, so a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -38,6 +41,9 @@ F16_METRICS = ["aurc", "e-aurc", "auroc-f", "ap-f", "ap-f-err", "accuracy", "nll
 CONFIGS = {
     "toy-all.json": {"csfs": ALL_CSFS, "studies": [{"name": "all", "metrics": [*F16_METRICS, "ece"]}]},
     "toy-f16.json": {"csfs": ALL_CSFS, "studies": [{"name": "all", "metrics": F16_METRICS}]},
+    # CI's one-CPU-and-all-of-them config: all nine CSFs
+    "blocks.json": {"csfs": ALL_CSFS[:-1], "studies": [{"name": "standard", "metrics": [
+        "aurc", "e-aurc", "auroc-f", "ap-f", "accuracy", "nll", "brier"]}]},
 }
 
 # shift.csv layouts that the loader reads line by line; each copy must write what the plain bundle does
@@ -63,14 +69,38 @@ RUNS = {
     "precision-audit-bundle": ("toy", ["precision-audit"]),
     "evaluate-f64": ("toy-f64", EVALUATE),
     **{f"evaluate-shift-{layout}": (f"toy-shift-{layout}", EVALUATE) for layout in SHIFT_LAYOUTS},
+    **{f"blocks-{p}": ("blocks", [*EVALUATE, "--config", "{work}/blocks.json", "--precision", p])
+       for p in ("f16", "f32", "f64")},
+    "blocks-f16-t1.5": ("blocks", [*EVALUATE, "--config", "{work}/blocks.json", "--precision", "f16",
+                                   "--temperature", "1.5"]),
+    "blocks-sgr": ("blocks", ["sgr"]),
+    "blocks-audit": ("blocks", ["precision-audit"]),
+    "blocks-audit-compute-only": ("blocks", ["precision-audit", "--compute-only"]),
+    # the CSV copy's arrays are writeable, where the .f64 maps are read-only
+    "blocks-csv-audit": ("blocks-csv", ["precision-audit"]),
+    "blocks-csv-audit-compute-only": ("blocks-csv", ["precision-audit", "--compute-only"]),
 }
 # the runs whose record must equal that of "evaluate"
 SAME_AS_EVALUATE = ["evaluate-f64", *(f"evaluate-shift-{layout}" for layout in SHIFT_LAYOUTS)]
+# run -> the run whose record it must equal
+SAME_AS = {"blocks-csv-audit": "blocks-audit", "blocks-csv-audit-compute-only": "blocks-audit-compute-only"}
+
+
+def blocks_bundle():
+    """CI's blocks bundle, from fdbench/workloads.py (a script directory, not a package)."""
+    spec = importlib.util.spec_from_file_location("golden_workloads", REPO / "fdbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # dataclasses look their module up while the file runs
+    spec.loader.exec_module(workloads)
+    return workloads.generate(workloads.Shape(n=3000, c=50, t=4, d=32), 5)
 
 
 def _bundles(work: Path) -> dict[str, Path]:
-    """The toy bundle, its .f64 copy and its copies with each shift.csv layout, the last two under work."""
+    """The toy bundle, and under work its .f64 copy, its copies with each shift.csv layout, and the
+    blocks bundle as .f64 files and as a CSV copy."""
     bundles = {"toy": TOY, "toy-f64": write_bundle(load_bundle(TOY), work / "toy-f64", binary=True)}
+    bundles["blocks"] = write_bundle(blocks_bundle(), work / "blocks", binary=True)
+    bundles["blocks-csv"] = write_bundle(load_bundle(bundles["blocks"]), work / "blocks-csv")
     text = (TOY / "shift.csv").read_text()
     for layout, rewrite in SHIFT_LAYOUTS.items():
         copy = Path(shutil.copytree(TOY, work / f"toy-shift-{layout}"))

@@ -6,12 +6,14 @@ out of range) and for usage errors, 1 for every other FdevalError and for an
 OSError (bad data, degenerate inputs, unwritable output); main is the only
 place that maps an exception to an exit code. All artifacts are
 byte-deterministic for identical inputs. FDSHIFT_SEED selects the seed for
-synthetic fixtures.
+synthetic fixtures. Under glibc, main pins malloc's thresholds for the process
+(_pin_malloc).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import re
@@ -54,6 +56,9 @@ STUDY_TYPES = {"name": str, "kind": str, "shift_filter": list, "metrics": list}
 MAX_BINS = 10**6
 # Unicode category Cc; in a study or CSF name a lone \r would split a report.csv row
 CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")
+# glibc mallopt parameters (malloc.h) and the values _pin_malloc gives them
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD, TRIM_THRESHOLD = 2 << 20, 16 << 20
 
 
 @dataclass
@@ -392,7 +397,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):   # no confstr, no such name, or no value
+        return False
+
+
+def _pin_malloc() -> None:
+    """Under glibc, fix malloc's thresholds: a block of MMAP_THRESHOLD bytes or more is mapped, and
+    unmapped when freed, and the heap keeps up to TRIM_THRESHOLD bytes free before it gives pages back.
+
+    glibc otherwise raises both whenever a larger mapped block is freed, so the cost of the sweeps'
+    n-long temporaries hung on whether an earlier step freed a large array: ranking-100k's run_study
+    took about 1600 minor faults after such a free, 16600 without it, and 3200 with these thresholds.
+    """
+    if not _glibc():
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _pin_malloc()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -124,8 +124,15 @@ class PredictionBundle:
 
     @cached_property
     def predicted(self) -> np.ndarray:
-        """Predicted class per row, argmax over logits with the lowest index on ties: taken once, read-only."""
-        predicted = np.argmax(self.logits, axis=1)
+        """Predicted class per row, argmax over logits with the lowest index on ties: taken once, read-only.
+
+        np.argmax copies a read-only array, such as a mapped .f64 file, in full, so it reads the
+        logits one _ROW_BLOCK at a time."""
+        n, c = self.logits.shape
+        predicted = np.empty(n, dtype=np.intp)
+        step = _rows_per_block(c, _ROW_BLOCK)
+        for lo in range(0, n, step):
+            np.argmax(self.logits[lo:lo + step], axis=1, out=predicted[lo:lo + step])
         predicted.flags.writeable = False
         return predicted
 

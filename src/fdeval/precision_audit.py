@@ -70,7 +70,9 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
         sweep = _Sweep(msr, res)
         report.aurc[p] = SWEEP_METRICS["aurc"](sweep)
         report.auroc_f[p] = SWEEP_METRICS["auroc-f"](sweep)
-        report.accuracy[p] = float(np.mean(np.argmax(logits, axis=1) == bundle.labels))
+        # the bundle's own logits (f64 storage, or compute_only) were argmaxed once, in row blocks
+        predicted = bundle.predicted if logits is bundle.logits else np.argmax(logits, axis=1)
+        report.accuracy[p] = float(np.mean(predicted == bundle.labels))
     return report
 
 

@@ -16,16 +16,19 @@ reduced-precision storage/compute can be reproduced exactly:
 numpy computes half +, - and / in float32 and rounds once, which gives the
 correctly rounded half (24 >= 2 * 11 + 2); half exp is not, so it runs in f64.
 
-The MC-dropout pass runs over cache-sized row blocks (about 1 MB of f64 each)
-on one thread per CPU in the process's affinity mask; there is no flag or
-environment variable for it. Every step works row by row and each block writes
-only its own rows, so the scores are bitwise the same on any number of
-threads. These row-wise threads run before maha, whose BLAS calls leave
+The logits pass (msr, pe and the nll and brier terms) and the MC-dropout pass
+run over cache-sized row blocks (about 1 MB of f64 each) on one thread per CPU
+in the process's affinity mask; there is no flag or environment variable for
+it. Every step works row by row and each block writes only its own rows, so
+the scores are bitwise the same on any number of threads, and no (n, c)
+softmax is made. A thread's block temporaries are its _scratch, reused from
+block to block. These row-wise threads run before maha, whose BLAS calls leave
 worker threads spinning that would slow them down.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -101,28 +104,41 @@ def softmax(logits: np.ndarray, cfg: SoftmaxConfig | None = None) -> np.ndarray:
     return _softmax(logits, cfg or SoftmaxConfig())
 
 
-def _softmax(logits: np.ndarray, cfg: SoftmaxConfig) -> np.ndarray:
-    """softmax at a given cfg. Worker threads call this name: fdbench's tracer replaces softmax with
-    a wrapper that keeps one unlocked span stack."""
+def _softmax(logits: np.ndarray, cfg: SoftmaxConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax at a given cfg, written into out, an f64 array of the logits' shape, when given. Worker
+    threads call this name: fdbench's tracer replaces softmax with a wrapper that keeps one unlocked
+    span stack."""
     dtype = _DTYPES[cfg.precision]
+    logits = np.asarray(logits, dtype=np.float64)
+    if out is None:
+        out = np.empty(logits.shape)
     # a logit beyond the precision's range casts to inf, as does one divided by a tiny
     # temperature, and inf - inf gives a NaN probability; callers report its row, so
     # numpy need not warn about it first (SoftmaxConfig keeps the cast temperature nonzero)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the division makes x a new array, so the steps below work on it in place
-        x = np.asarray(logits, dtype=np.float64).astype(dtype, copy=False) / dtype(cfg.temperature)
+        # x is out at f64, else a scratch array of the precision; the steps below work on it in place
+        if dtype is np.float64:
+            x = np.divide(logits, dtype(cfg.temperature), out=out)
+        else:
+            x = _scratch("softmax", logits.shape, dtype)
+            x[...] = logits
+            x /= dtype(cfg.temperature)
         x -= np.max(x, axis=-1, keepdims=True)
         if dtype is np.float16:
-            # half exp is not correctly rounded, so it runs in f64; accumulate rounds
-            # each partial sum to half, left to right, where np.sum would carry f32;
-            # its last column is copied, so the (n, c) prefix sums are freed at once
-            x[...] = np.exp(x, dtype=np.float64)
-            total = np.add.accumulate(x, axis=-1)[..., -1:].copy()
+            # half exp is not correctly rounded, so it runs in f64, into out; accumulate rounds
+            # each partial sum to half, left to right, where np.sum would carry f32; the exps are
+            # back in x by then, so the prefix sums take out's bytes, and their last column is copied
+            np.exp(x, dtype=np.float64, out=out)
+            x[...] = out
+            prefix = out.reshape(-1).view(np.float16)[:x.size].reshape(x.shape)
+            total = np.add.accumulate(x, axis=-1, out=prefix)[..., -1:].copy()
         else:
             np.exp(x, out=x)
             total = np.sum(x, axis=-1, keepdims=True)
         x /= total
-        return x.astype(np.float64, copy=False)
+        if x is not out:
+            out[...] = x
+        return out
 
 
 def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxConfig) -> np.ndarray:
@@ -142,23 +158,28 @@ def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxCon
     return scores
 
 
-def _entropy(p: np.ndarray) -> np.ndarray:
-    """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0.
+def _entropy(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0, written into out when given.
 
     p is read in blocks of _ROW_BLOCK elements along its first axis, on the
     calling thread, so the temporaries are a block's size, not p's. Each row is
     summed on its own, so the bits do not depend on the blocks.
     """
-    out = np.empty(p.shape[:-1], dtype=np.result_type(p, 1.0))
+    dtype = np.result_type(p, 1.0)
+    if out is None:
+        out = np.empty(p.shape[:-1], dtype=dtype)
     step = _rows_per_block(p[:1].size, _ROW_BLOCK)
     for lo in range(0, p.shape[0], step):
         block = p[lo:lo + step]
-        # p * ln(1) is already +0.0 where p == 0
-        plogp = np.where(block > 0, block, 1.0)
+        # p, with 1 where p is not positive: p * ln(1) is then +0.0 where p == 0, and NaN where p is
+        positive = np.greater(block, 0, out=_scratch("positive", block.shape, bool))
+        plogp = _scratch("plogp", block.shape, dtype)
+        plogp.fill(1.0)
+        np.copyto(plogp, block, where=positive)
         np.log(plogp, out=plogp)
         plogp *= block
         np.sum(plogp, axis=-1, out=out[lo:lo + step])
-        del plogp   # before the next block's is made
+        del positive, plogp   # outside a pass, before the next block's are made
     return np.negative(out, out=out)
 
 
@@ -181,14 +202,13 @@ def fit_mahalanobis(train_features: np.ndarray, train_labels: np.ndarray, ridge:
     if counts.min() < 2:
         k = int(np.argmax(counts < 2))
         raise ClassUnderpopulated(f"maha: class {class_ids[k]} has {counts[k]} rows, need at least 2")
-    # each class's rows as one contiguous slice, in their original order, so that every mean adds
+    # each class's rows gathered on their own, in their original order, so that every mean adds
     # the same rows in the same order as a mask would (np.add.reduceat does not)
-    grouped = feats[np.argsort(inverse, kind="stable")]
+    order = np.argsort(inverse, kind="stable")
     means = np.empty((class_ids.size, feats.shape[1]))
     ends = np.cumsum(counts)
     for k, (lo, hi) in enumerate(zip(ends - counts, ends)):
-        np.add.reduce(grouped[lo:hi], axis=0, out=means[k])
-    del grouped
+        np.add.reduce(feats[order[lo:hi]], axis=0, out=means[k])
     means /= counts[:, None]
     centered = means[inverse]
     np.subtract(feats, centered, out=centered)
@@ -234,13 +254,34 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+_pass = threading.local()   # arrays: the scratch of the _map_rows worker running on this thread
+
+
+def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of shape and dtype. In a _map_rows worker it is that worker's array of this
+    name, trailing shape and dtype, made at its first block and reused by every later one, which has at
+    most as many rows: an anonymous mapping, not a malloc block, so its pages go back when the pass
+    ends, whatever malloc's thresholds. Elsewhere it is a new array."""
+    arrays = getattr(_pass, "arrays", None)
+    if arrays is None:
+        return np.empty(shape, dtype)
+    key = (name, shape[1:], np.dtype(dtype))
+    held = arrays.get(key)
+    if held is None or held.shape[0] < shape[0]:
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        held = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape) if nbytes else np.empty(shape, dtype)
+        arrays[key] = held
+    return held[:shape[0]]
+
+
 def _map_rows(fn, n: int, width: int) -> None:
     """Call fn(lo, hi) for each block of rows of range(n), _ROW_BLOCK // width rows a block, on _workers() threads.
 
     fn must write rows lo:hi of preallocated outputs from rows lo:hi of its inputs, so the bytes do
     not depend on which thread runs a block. Worker k of w takes blocks k, k + w, ...; this thread is
-    worker 0, and no thread starts for a single block. numpy's error state is per thread, so each
-    worker takes the caller's. Once every worker has stopped, the first error, by worker, is raised.
+    worker 0, and no thread starts for a single block. Each worker's temporaries come from its
+    _scratch, which it drops when it stops. numpy's error state is per thread, so each worker takes
+    the caller's. Once every worker has stopped, the first error, by worker, is raised.
     """
     step = _rows_per_block(width, _ROW_BLOCK)
     starts = range(0, n, step)
@@ -248,12 +289,15 @@ def _map_rows(fn, n: int, width: int) -> None:
     errstate, errors = np.geterr(), [None] * workers
 
     def work(k: int) -> None:
+        _pass.arrays = {}
         try:
             with np.errstate(**errstate):
                 for lo in starts[k::workers]:
                     fn(lo, min(lo + step, n))
         except BaseException as exc:   # raised in the caller, below
             errors[k] = exc
+        finally:
+            del _pass.arrays
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     for thread in threads:
@@ -299,6 +343,7 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
 
     rows, classes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # n = 0 concatenates too
     step = _rows_per_block(model.means.shape[0], _BLOCK)
+    block = near = None   # n = 0 makes neither
     for lo in range(0, n, step):
         block = z[lo:lo + step] @ m.T
         block *= -2.0
@@ -312,12 +357,19 @@ def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVecto
         rows.append(r + lo)
         classes.append(c)
     rows, classes = np.concatenate(rows), np.concatenate(classes)
+    del z, block, near   # before the refinement's arrays are made
 
     best = np.full(n, np.inf)
     step = _rows_per_block(dim, _BLOCK)
+    means_step = _rows_per_block(dim, _ROW_BLOCK)
     for lo in range(0, rows.size, step):
         r, c = rows[lo:lo + step], classes[lo:lo + step]
-        w = _whiten(feats[r] - model.means[c], inv_chol)
+        # x - mu_c in the gathered rows, the means gathered a few rows at a time
+        diff = feats[r]
+        for at in range(0, r.size, means_step):
+            diff[at:at + means_step] -= model.means[c[at:at + means_step]]
+        w = _whiten(diff, inv_chol)
+        del diff
         np.minimum.at(best, r, np.einsum("ij,ij->i", w, w))
     return ConfidenceVector(csf_id=MAHA, scores=-best + 0.0, precision_mode=F64)
 
@@ -333,15 +385,18 @@ class CsfScores(dict):
     terms: dict[str, np.ndarray] | None = None
 
 
+_LABELS_FOR_TERMS = "labels must be integers in [0, {c}) for likelihood metrics"
+
+
 def likelihood_terms(p: np.ndarray, labels: np.ndarray, metrics=("nll", "brier")) -> dict[str, np.ndarray]:
     """The per-row terms that nll and brier, among metrics, reduce: row i's true-class probability
     p[i, labels[i]] for nll, and sum_j (p[i, j] - onehot(labels[i])_j)^2 for brier.
 
     A label that is not an integer in [0, c) raises LabelOutOfRange naming its row (core.integer_values).
     The brier terms are taken in p, which is overwritten: 1 is subtracted at each label, then p is
-    squared in place and summed by row, so no second (n, c) array is made.
+    squared in place and summed by row, so no second array of p's shape is made.
     """
-    labels = integer_values(labels, 0, p.shape[1], f"labels must be integers in [0, {p.shape[1]}) for likelihood metrics")
+    labels = integer_values(labels, 0, p.shape[1], _LABELS_FOR_TERMS.format(c=p.shape[1]))
     rows = np.arange(p.shape[0])
     terms = {}
     if "nll" in metrics:
@@ -350,6 +405,32 @@ def likelihood_terms(p: np.ndarray, labels: np.ndarray, metrics=("nll", "brier")
         p[rows, labels] -= 1.0
         terms["brier"] = np.sum(np.square(p, out=p), axis=1)
     return terms
+
+
+def _logits_scores(logits: np.ndarray, cfg: SoftmaxConfig, csf_ids, labels: np.ndarray | None):
+    """msr and pe among csf_ids and, given labels, the likelihood terms (None without), from one
+    row-blocked pass over the logits. The caller checks the labels whole, so that an error names the
+    row of a bad one in the logits, not in its block."""
+    n, c = logits.shape
+    scores = {csf_id: np.empty(n) for csf_id in (MSR, PE) if csf_id in csf_ids}
+    terms = None if labels is None else {"nll": np.empty(n), "brier": np.empty(n)}
+    if not scores and terms is None:
+        return scores, terms
+
+    def block(lo: int, hi: int) -> None:
+        p = _softmax(logits[lo:hi], cfg, out=_scratch("p", (hi - lo, c)))
+        if MSR in scores:
+            np.max(p, axis=-1, out=scores[MSR][lo:hi])
+        if PE in scores:
+            _entropy(p, out=scores[PE][lo:hi])
+        if terms is not None:   # last: the brier terms overwrite p
+            for name, vec in likelihood_terms(p, labels[lo:hi]).items():
+                terms[name][lo:hi] = vec
+
+    _map_rows(block, n, c)
+    if PE in scores:
+        np.negative(scores[PE], out=scores[PE])   # the entropy, negated
+    return scores, terms
 
 
 def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.ndarray]:
@@ -372,17 +453,16 @@ def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.n
     def block(lo: int, hi: int) -> None:
         rows = stack[lo:hi]
         if mls is not None:
-            np.max(np.mean(rows, axis=1), axis=-1, out=mls[lo:hi])
+            np.max(np.mean(rows, axis=1, out=_scratch("mean_logits", (hi - lo, c))), axis=-1, out=mls[lo:hi])
         if wanted != {MCD_MLS}:
-            p_mc = _softmax(rows, cfg)
+            p_mc = _softmax(rows, cfg, out=_scratch("p_mc", rows.shape))
             if expected_entropy is not None:
                 np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:hi])
-            mean_p = np.mean(p_mc, axis=1)
-            del p_mc
+            mean_p = np.mean(p_mc, axis=1, out=_scratch("mean_p", (hi - lo, c)))
             if msr is not None:
                 np.max(mean_p, axis=-1, out=msr[lo:hi])
             if predictive_entropy is not None:
-                predictive_entropy[lo:hi] = _entropy(mean_p)
+                _entropy(mean_p, out=predictive_entropy[lo:hi])
         # nothing reads these rows of a mapped stack again, so their pages go back now
         _release_pages(rows)
 
@@ -400,21 +480,22 @@ def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.n
 def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None, keep_terms: bool = False) -> CsfScores:
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
-    One logits softmax feeds msr and pe; pe's entropy reads it in row blocks on this thread, so pe
-    makes no (n, c) temporary. With keep_terms, once the CSFs have read the softmax, it is reduced
-    in place to the per-row terms of nll and brier (likelihood_terms), which the result holds as
-    terms, NaN on new-class rows; the softmax itself is freed before maha. One row-blocked pass over
-    the MC-dropout stack feeds every mcd- CSF. maha is fitted once, on the inlier-labeled rows, and
-    scored last. The result records cfg, the softmax configuration it was scored at.
+    One row-blocked pass over the logits feeds msr and pe and, with keep_terms, the per-row terms of
+    nll and brier (likelihood_terms), which the result holds as terms, NaN on new-class rows; no
+    (n, c) softmax is made. One row-blocked pass over the MC-dropout stack feeds every mcd- CSF.
+    maha is fitted once, on the inlier-labeled rows, and scored last. The result records cfg, the
+    softmax configuration it was scored at.
     """
     cfg = cfg or SoftmaxConfig()
-    p = softmax(bundle.logits, cfg) if keep_terms or not {MSR, PE}.isdisjoint(csf_ids) else None
-    mc = {} if bundle.mcd_logits is None else _mc_scores(bundle.mcd_logits, cfg, csf_ids)
-    formulas = {
-        MSR: lambda: np.max(p, axis=-1),
-        PE: lambda: -_entropy(p),
-        MLS: lambda: np.max(bundle.logits, axis=-1),
-    }
+    inlier = bundle.labels != bundle.ood_label
+    labels = None
+    if keep_terms:
+        # a new-class row's class 0 stands in for its label, and its terms are then NaN
+        c = bundle.logits.shape[1]
+        labels = integer_values(np.where(inlier, bundle.labels, 0), 0, c, _LABELS_FOR_TERMS.format(c=c))
+    computed, terms = _logits_scores(bundle.logits, cfg, csf_ids, labels)
+    if bundle.mcd_logits is not None:
+        computed.update(_mc_scores(bundle.mcd_logits, cfg, csf_ids))
 
     out = CsfScores()
     out.cfg = cfg
@@ -434,20 +515,18 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
             raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
         else:
             logits = bundle.mcd_logits if csf_id.startswith("mcd-") else bundle.logits
-            scores = _nan_free(mc[csf_id] if csf_id in mc else formulas[csf_id](), csf_id, logits, cfg)
+            scores = computed[csf_id] if csf_id != MLS else np.max(bundle.logits, axis=-1)
             # mls and mcd-mls are maxima of the f64 logits; no softmax, so no reduced precision
             precision = F64 if csf_id in (MLS, MCD_MLS) else cfg.precision
-            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=scores, precision_mode=precision)
-    inlier = bundle.labels != bundle.ood_label
-    if keep_terms:
-        # two n-vectors held for the run in place of the (n, c) softmax; a new-class row's class 0
-        # stands in for its label, and its terms are then NaN
-        out.terms = likelihood_terms(p, np.where(inlier, bundle.labels, 0))
-        for terms in out.terms.values():
-            terms[~inlier] = np.nan
-    # maha last: its temporaries then do not stack on the softmax's, and its GEMMs leave BLAS
-    # threads spinning, which slowed an MC pass started right after one from 28 to 49 ms
-    del p, formulas
+            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=_nan_free(scores, csf_id, logits, cfg),
+                                           precision_mode=precision)
+    if terms is not None:
+        # two n-vectors held for the run in place of an (n, c) softmax
+        for vec in terms.values():
+            vec[~inlier] = np.nan
+        out.terms = terms
+    # maha last: its GEMMs leave BLAS threads spinning, which slowed an MC pass started right after
+    # one from 28 to 49 ms
     if MAHA in out:
         # one fit, so a row has one maha score in every study
         model = fit_mahalanobis(bundle.features[inlier], bundle.labels[inlier])

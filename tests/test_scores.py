@@ -715,11 +715,12 @@ def ten_row_mc_bundle(seed=47, c=6, t=4):
 
 def three_row_blocks(monkeypatch, workers=1) -> list[int]:
     """Blocks of 3 rows, which do not divide 10, on the given number of threads; returns the rows of
-    each MC softmax call as they happen (in block order on one thread)."""
+    each softmax call of the logits and MC passes as they happen (in block order on one thread)."""
     rows, real = [], fdeval.scores._softmax
     monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width, block=None: 3)
     monkeypatch.setattr(fdeval.scores, "_workers", lambda: workers)
-    monkeypatch.setattr(fdeval.scores, "_softmax", lambda x, cfg: rows.append(x.shape[0]) or real(x, cfg))
+    monkeypatch.setattr(fdeval.scores, "_softmax",
+                        lambda x, cfg, out=None: rows.append(x.shape[0]) or real(x, cfg, out=out))
     return rows
 
 
@@ -759,6 +760,88 @@ def test_threaded_mc_pass_names_the_global_row(precision, temperature, logit, er
     with pytest.raises(error, match=message):
         compute_csfs(b, MC_SOFTMAX_CSFS, SoftmaxConfig(precision=precision, temperature=temperature))
     assert sorted(rows) == [1, 3, 3, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_blocked_logits_pass_is_bitwise_one_whole_softmax(precision, workers, monkeypatch):
+    # 90 rows in 30 blocks of 3: msr, pe and both likelihood terms of each block's softmax are those
+    # of one softmax of the whole logits array; new-class rows' terms are NaN
+    b = scored_bundle()
+    cfg = SoftmaxConfig(precision=precision, temperature=1.5)
+    p = old_softmax(b.logits, cfg)
+    inlier = b.labels != b.ood_label
+    labels = np.where(inlier, b.labels, 0)
+    rows = three_row_blocks(monkeypatch, workers)
+    got = compute_csfs(b, ["pe", "msr"], cfg, keep_terms=True)
+    assert sorted(rows) == [3] * 30
+    want = {
+        "msr": np.max(p, axis=-1),
+        "pe": -one_line_entropy(p),
+        "nll": np.where(inlier, p[np.arange(b.n_samples), labels], np.nan),
+        "brier": np.where(inlier, np.sum(np.square(p - np.eye(b.n_classes)[labels]), axis=1), np.nan),
+    }
+    for csf in ("msr", "pe"):
+        assert got[csf].scores.tobytes() == want[csf].tobytes(), csf
+    assert sorted(got.terms) == ["brier", "nll"]
+    for name, terms in got.terms.items():
+        assert terms.tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("precision, temperature, logit, error, message", [
+    (F16, 1.0, 1e5, NonFiniteValue, "msr: NaN score at row 4"),    # inf after the cast to half
+    (F64, 1e-300, 1e9, InvalidParameter, "overflows the f64 logits of row 4"),
+])
+def test_blocked_logits_pass_names_the_global_row(precision, temperature, logit, error, message, workers,
+                                                  monkeypatch):
+    b = ten_row_mc_bundle()
+    b.logits[4, 1] = logit   # row 1 of the second block, which the second thread takes on two workers
+    rows = three_row_blocks(monkeypatch, workers)
+    with pytest.raises(error, match=message):
+        compute_csfs(b, ["msr", "pe"], SoftmaxConfig(precision=precision, temperature=temperature), keep_terms=True)
+    assert sorted(rows) == [1, 3, 3, 3]
+
+
+def test_blocked_logits_pass_names_the_global_row_of_a_bad_label(monkeypatch):
+    b = ten_row_mc_bundle()
+    b.labels[4] = -1   # row 1 of the second block: the labels are checked whole, not block by block
+    three_row_blocks(monkeypatch, workers=2)
+    with pytest.raises(LabelOutOfRange, match=r"got -1 at row 4$"):
+        compute_csfs(b, ["msr"], keep_terms=True)
+
+
+# the MC pass's minor page faults on scores-wide's shape, in a fresh process, after freeing a 4 MB
+# array or not; glibc raises its mmap threshold to the size of a freed mapped chunk, after which a
+# block's fresh 1 MB temporaries came from the heap instead of new, page-by-page faulted mappings
+MC_FAULTS = """\
+import resource, sys
+import numpy as np
+from fdeval.scores import SoftmaxConfig, _mc_scores
+stack = np.empty((2000, 4, 400))
+np.random.default_rng(67).standard_normal(out=stack)   # made in place, so no large array is freed
+if sys.argv[1] == "free":
+    big = np.ones(1 << 19)
+    del big
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_mc_scores(stack, SoftmaxConfig(), ["mcd-msr", "mcd-pe", "mcd-ee", "mcd-mi"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's malloc")
+def test_mc_pass_faults_do_not_depend_on_an_earlier_large_free():
+    # with per-thread scratch each worker maps its block-sized arrays once per pass: about 1400
+    # faults either way on a 2-core VM, where fresh temporaries in every block took about 12000
+    # without the free and about 1000 with it
+    path = os.pathsep.join(filter(None, [str(Path(fdeval.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    faults = {}
+    for mode in ("free", "keep"):
+        proc = subprocess.run([sys.executable, "-c", MC_FAULTS, mode], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults[mode] = int(proc.stdout)
+    assert max(faults.values()) < 2 * min(faults.values()) + 500, faults
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -833,10 +916,10 @@ def test_workers_take_the_callers_error_state_and_raise_in_it(monkeypatch):
     three_row_blocks(monkeypatch, workers=2)   # blocks 0 and 2 here, 1 and 3 on the second thread
     real = fdeval.scores._entropy
 
-    def overflowing_off_the_caller(p):
+    def overflowing_off_the_caller(p, out=None):
         if threading.current_thread() is not threading.main_thread():
             np.array([1e308]) * 10.0
-        return real(p)
+        return real(p, out=out)
 
     monkeypatch.setattr(fdeval.scores, "_entropy", overflowing_off_the_caller)
     with pytest.raises(FloatingPointError, match="overflow"), np.errstate(over="raise"):
@@ -868,7 +951,7 @@ def test_mc_entropies_are_taken_once_per_block(csfs, per_block, monkeypatch):
     b = ten_row_mc_bundle()   # 4 passes, 6 classes
     three_row_blocks(monkeypatch)
     shapes, real = [], fdeval.scores._entropy
-    monkeypatch.setattr(fdeval.scores, "_entropy", lambda p: shapes.append(p.shape) or real(p))
+    monkeypatch.setattr(fdeval.scores, "_entropy", lambda p, out=None: shapes.append(p.shape) or real(p, out=out))
     compute_csfs(b, csfs)
     # one entropy of each block's passes and one of its mean, however many CSFs read them
     form = {"passes": lambda rows: (rows, 4, 6), "mean": lambda rows: (rows, 6)}
