@@ -76,6 +76,14 @@ RUNS = {
     "blocks-sgr": ("blocks", ["sgr"]),
     "blocks-audit": ("blocks", ["precision-audit"]),
     "blocks-audit-compute-only": ("blocks", ["precision-audit", "--compute-only"]),
+    "blocks-audit-t4": ("blocks", ["precision-audit", "--temperature", "4"]),
+    "blocks-audit-compute-only-t4": ("blocks", ["precision-audit", "--compute-only", "--temperature", "4"]),
+    # a top logit beyond f16's range stores as inf, and its row's f16 msr is NaN (exit 1)
+    "precision-audit-synthetic-f16-inf": (None, ["precision-audit", "--synthetic", "--n", "200",
+                                                 "--gap-low", "60000", "--gap-high", "70000"]),
+    # dividing by the temperature overflows f16 in finite rows (exit 2)
+    "precision-audit-synthetic-tiny-temperature": (None, ["precision-audit", "--synthetic", "--gap-low", "60",
+                                                          "--gap-high", "70", "--temperature", "0.001"]),
     # the CSV copy's arrays are writeable, where the .f64 maps are read-only
     "blocks-csv-audit": ("blocks-csv", ["precision-audit"]),
     "blocks-csv-audit-compute-only": ("blocks-csv", ["precision-audit", "--compute-only"]),

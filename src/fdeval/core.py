@@ -124,15 +124,8 @@ class PredictionBundle:
 
     @cached_property
     def predicted(self) -> np.ndarray:
-        """Predicted class per row, argmax over logits with the lowest index on ties: taken once, read-only.
-
-        np.argmax copies a read-only array, such as a mapped .f64 file, in full, so it reads the
-        logits one _ROW_BLOCK at a time."""
-        n, c = self.logits.shape
-        predicted = np.empty(n, dtype=np.intp)
-        step = _rows_per_block(c, _ROW_BLOCK)
-        for lo in range(0, n, step):
-            np.argmax(self.logits[lo:lo + step], axis=1, out=predicted[lo:lo + step])
+        """Predicted class per row, argmax over logits with the lowest index on ties: taken once, read-only."""
+        predicted = _argmax_rows(self.logits)
         predicted.flags.writeable = False
         return predicted
 
@@ -172,12 +165,28 @@ class FailureLabels:
     eval_mask: np.ndarray   # (n,) bool, False = sample dismissed from ranking metrics
 
 
+def _argmax_rows(logits: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Argmax per row of logits cast to dtype, the lowest index on ties. np.argmax copies a read-only
+    array, such as a mapped .f64 file, in full, so the logits are read one _ROW_BLOCK at a time."""
+    n, c = logits.shape
+    predicted = np.empty(n, dtype=np.intp)
+    step = _rows_per_block(c, _ROW_BLOCK)
+    with np.errstate(over="ignore"):   # a value beyond dtype's range casts to inf
+        for lo in range(0, n, step):
+            np.argmax(logits[lo:lo + step].astype(dtype, copy=False), axis=1, out=predicted[lo:lo + step])
+    return predicted
+
+
 def _check_finite(arr: np.ndarray, name: str, first_row: int = 0) -> None:
     """Raise NonFiniteValue naming the first row of arr that holds an inf or a NaN, counting rows from first_row."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        row = int(np.argwhere(~finite)[0][0])
-        raise NonFiniteValue(f"{name}: non-finite value at row {first_row + row}")
+    # an inf or a NaN always makes arr's sum non-finite, so only then are its values looked at one by
+    # one; finite values whose sum overflows take that path too, and pass it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.add.reduce(arr, axis=None)):
+            return
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise NonFiniteValue(f"{name}: non-finite value at row {first_row + int(bad[0][0])}")
 
 
 def integer_values(values: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
@@ -290,15 +299,11 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
         mcd = np.asarray(bundle.mcd_logits, dtype=np.float64)
         if mcd.ndim != 3 or mcd.shape[0] != n or mcd.shape[2] != c:
             raise ShapeMismatch(f"mcd_logits: expected ({n}, t, {c}), got {mcd.shape}")
-        # one row block at a time, whose pages are then released: only the MC pass reads them again.
-        # An inf or a NaN always makes a block's sum non-finite, so only then are its values looked
-        # at one by one; finite values whose sum overflows take that path too, and pass it
+        # one row block at a time, whose pages are then released: only the MC pass reads them again
         step = _rows_per_block(mcd[:1].size, _ROW_BLOCK)
         for lo in range(0, n, step):
             block = mcd[lo:lo + step]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(np.add.reduce(block, axis=None)):
-                    _check_finite(block, "mcd_logits", first_row=lo)
+            _check_finite(block, "mcd_logits", first_row=lo)
             _release_pages(block)
         bundle.mcd_logits = mcd
 

@@ -6,6 +6,10 @@ accuracy is untouched. The audit quantifies this per precision: the fraction
 of informative rows whose top softmax rounds to exactly 1.0, plus AURC /
 failure-AUROC of the resulting confidence vector. Mitigations mirrored here:
 wider storage (f64) or temperature scaling before the softmax.
+
+msr comes from compute_csfs's row-blocked logits pass, which casts the logits
+to the precision first, so no (n, c) softmax is made and storage quantization
+changes only which rows hold distinct logits, and the argmax.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PredictionBundle, ShiftTag, failure_labels, validate_bundle
+from .core import PredictionBundle, ShiftTag, _argmax_rows, failure_labels, validate_bundle
 from .errors import EmptyEvaluationSet, InvalidParameter
-# aurc, rc_curve and auroc_f are not called here (audit reads SWEEP_METRICS off one _Sweep);
-# fdbench/tracing.py binds fdeval.precision_audit.aurc, .rc_curve and .auroc_f by name
+# aurc, rc_curve, auroc_f and softmax are not called here (audit reads SWEEP_METRICS off one _Sweep,
+# and msr off the logits pass); fdbench/tracing.py binds them in fdeval.precision_audit by name
 from .metrics import SWEEP_METRICS, _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
-from .scores import PRECISIONS, SoftmaxConfig, _nan_free, quantize, softmax
+from .scores import _DTYPES, F64, MSR, PRECISIONS, SoftmaxConfig, _logits_scores, _nan_free, quantize
+from .scores import softmax  # noqa: F401
 
 # A runner-up class is kept within this many nats of the top logit so that an
 # f64 softmax always sees tail mass above the half-ulp at 1.0 (e^-35 ~ 6.3e-16
@@ -37,15 +42,12 @@ class PrecisionAuditReport:
     accuracy: dict[str, float] = field(default_factory=dict)
 
 
-def _rounds_to_one(msr: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Rows whose max softmax is exactly 1.0 despite carrying >= 2 distinct logits."""
-    return (msr == 1.0) & (np.max(logits, axis=-1) != np.min(logits, axis=-1))
-
-
 def round_to_one_count(logits: np.ndarray, precision: str, temperature: float = 1.0) -> int:
     """Rows whose max softmax is exactly 1.0 despite carrying >= 2 distinct logits."""
-    p = softmax(logits, SoftmaxConfig(precision=precision, temperature=temperature))
-    return int(np.sum(_rounds_to_one(np.max(p, axis=-1), logits)))
+    logits = np.asarray(logits, dtype=np.float64)
+    logits = logits.reshape(-1, logits.shape[-1])   # a row along the last axis, as softmax takes them
+    msr = _logits_scores(logits, SoftmaxConfig(precision=precision, temperature=temperature), (MSR,), None)[0][MSR]
+    return int(np.count_nonzero((msr == 1.0) & (np.max(logits, axis=-1) != np.min(logits, axis=-1))))
 
 
 def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: bool = True) -> PrecisionAuditReport:
@@ -60,18 +62,22 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
     if bundle.n_samples == 0:
         raise EmptyEvaluationSet("no samples to audit")
     res = failure_labels(bundle).residuals
+    # rounding is monotone, so a row's stored logits are distinct where its rounded max and min differ
+    top, bottom = np.max(bundle.logits, axis=-1), np.min(bundle.logits, axis=-1)
     report = PrecisionAuditReport(precisions=list(PRECISIONS))
     for p in PRECISIONS:
-        logits = quantize(bundle.logits, p) if quantize_storage else bundle.logits
+        storage = p if quantize_storage else F64
         cfg = SoftmaxConfig(precision=p, temperature=temperature)
         # a logit beyond f16's range stores as inf, and its row's msr is NaN
-        msr = _nan_free(np.max(softmax(logits, cfg), axis=-1), f"{p} msr", logits, cfg)
-        report.round_to_one_rate[p] = float(np.mean(_rounds_to_one(msr, logits)))
+        msr = _logits_scores(bundle.logits, cfg, (MSR,), None)[0][MSR]
+        msr = _nan_free(msr, f"{p} msr", bundle.logits, cfg)
+        distinct = quantize(top, storage) != quantize(bottom, storage)
+        report.round_to_one_rate[p] = float(np.mean((msr == 1.0) & distinct))
         sweep = _Sweep(msr, res)
         report.aurc[p] = SWEEP_METRICS["aurc"](sweep)
         report.auroc_f[p] = SWEEP_METRICS["auroc-f"](sweep)
-        # the bundle's own logits (f64 storage, or compute_only) were argmaxed once, in row blocks
-        predicted = bundle.predicted if logits is bundle.logits else np.argmax(logits, axis=1)
+        # the f64 logits were argmaxed once, for the bundle
+        predicted = bundle.predicted if storage == F64 else _argmax_rows(bundle.logits, _DTYPES[storage])
         report.accuracy[p] = float(np.mean(predicted == bundle.labels))
     return report
 

@@ -25,8 +25,8 @@ from .core import (
 from .errors import EmptyEvaluationSet, FdevalError, InvalidParameter
 from . import metrics as M
 from .risk_control import ece, platt_apply, platt_fit
-# compute_csf is not called here; fdbench/tracing.py binds fdeval.protocol.compute_csf by name
-from .scores import CsfScores, compute_csf, likelihood_terms, softmax  # noqa: F401
+# compute_csf and softmax are not called here; fdbench/tracing.py binds them in fdeval.protocol by name
+from .scores import CsfScores, compute_csf, compute_csfs, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
 DEFAULT_METRICS = ("aurc", "e-aurc", "auroc-f", "accuracy")
@@ -97,13 +97,12 @@ def run_study(
     scores maps each CSF to its confidences over all bundle rows, as
     compute_csfs returns them; the study keeps the rows its shift filter
     selects. nll and brier reduce the per-row terms that scores.terms holds,
-    at the study's inlier rows; when it holds none, they softmax those rows at
-    scores.cfg, the configuration the scores were computed at, and take the
-    same terms of them (scores.likelihood_terms). What depends on the study
-    alone (its evaluated rows, their residuals, the optimal AURC behind
-    E-AURC) is computed once; each CSF then gathers its evaluated confidences
-    once, for ece and one sweep. on_curve(study name, csf, curve), when given,
-    receives each CSF's curve.
+    at the study's inlier rows; when it holds none, compute_csfs takes them
+    at scores.cfg, the configuration the scores were computed at. What
+    depends on the study alone (its evaluated rows, their residuals, the
+    optimal AURC behind E-AURC) is computed once; each CSF then gathers its
+    evaluated confidences once, for ece and one sweep. on_curve(study name,
+    csf, curve), when given, receives each CSF's curve.
     """
     keep = bundle.tagged(spec.shift_filter)
     if not keep.any():
@@ -128,14 +127,10 @@ def run_study(
             rows = keep & (bundle.labels != bundle.ood_label)
             if not rows.any():
                 raise EmptyEvaluationSet("no samples")
-            # softmax and its terms are rowwise, so the run's terms of the study's inlier rows are
-            # the terms of those rows' own softmax
-            if scores.terms is None:
-                terms = likelihood_terms(softmax(bundle.logits[rows], scores.cfg), bundle.labels[rows], wanted)
-            else:
-                terms = {metric: scores.terms[metric][rows] for metric in wanted}
+            # without kept terms, those of the logits pass of compute_csfs at the scores' cfg
+            terms = scores.terms or compute_csfs(bundle, [], scores.cfg, keep_terms=True).terms
             for metric in wanted:
-                classifier[metric] = M.LIKELIHOOD_METRICS[metric](terms[metric])
+                classifier[metric] = M.LIKELIHOOD_METRICS[metric](terms[metric][rows])
     except FdevalError as exc:
         raise type(exc)(f"[study {spec.name}] {exc}") from exc
 

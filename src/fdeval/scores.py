@@ -161,25 +161,17 @@ def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxCon
 def _entropy(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0, written into out when given.
 
-    p is read in blocks of _ROW_BLOCK elements along its first axis, on the
-    calling thread, so the temporaries are a block's size, not p's. Each row is
-    summed on its own, so the bits do not depend on the blocks.
+    Callers pass one _map_rows block, whose temporaries come from the worker's _scratch.
     """
     dtype = np.result_type(p, 1.0)
-    if out is None:
-        out = np.empty(p.shape[:-1], dtype=dtype)
-    step = _rows_per_block(p[:1].size, _ROW_BLOCK)
-    for lo in range(0, p.shape[0], step):
-        block = p[lo:lo + step]
-        # p, with 1 where p is not positive: p * ln(1) is then +0.0 where p == 0, and NaN where p is
-        positive = np.greater(block, 0, out=_scratch("positive", block.shape, bool))
-        plogp = _scratch("plogp", block.shape, dtype)
-        plogp.fill(1.0)
-        np.copyto(plogp, block, where=positive)
-        np.log(plogp, out=plogp)
-        plogp *= block
-        np.sum(plogp, axis=-1, out=out[lo:lo + step])
-        del positive, plogp   # outside a pass, before the next block's are made
+    # p, with 1 where p is not positive: p * ln(1) is then +0.0 where p == 0, and NaN where p is
+    positive = np.greater(p, 0, out=_scratch("positive", p.shape, bool))
+    plogp = _scratch("plogp", p.shape, dtype)
+    plogp.fill(1.0)
+    np.copyto(plogp, p, where=positive)
+    np.log(plogp, out=plogp)
+    plogp *= p
+    out = np.sum(plogp, axis=-1, out=out)
     return np.negative(out, out=out)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fdeval.scores
 from fdeval import PredictionBundle, ShiftTag, validate_bundle
 
 REPO = Path(__file__).resolve().parent.parent
@@ -93,3 +94,14 @@ def newclass_bundle() -> PredictionBundle:
         dtype="U24",
     )
     return simple_bundle(logits, labels, tags)
+
+
+def three_row_blocks(monkeypatch, workers=1) -> list[int]:
+    """Blocks of 3 rows, which do not divide 10, on the given number of threads; returns the rows of
+    each softmax call of the logits and MC passes as they happen (in block order on one thread)."""
+    rows, real = [], fdeval.scores._softmax
+    monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width, block=None: 3)
+    monkeypatch.setattr(fdeval.scores, "_workers", lambda: workers)
+    monkeypatch.setattr(fdeval.scores, "_softmax",
+                        lambda x, cfg, out=None: rows.append(x.shape[0]) or real(x, cfg, out=out))
+    return rows

@@ -234,6 +234,26 @@ def test_nonfinite_f64_cell_is_named_by_its_row(tmp_path, stem):
         load_bundle(directory)
 
 
+def test_finite_check_sums_first_and_passes_finite_values_whose_sum_overflows():
+    # logits, features and external scores are summed first, and looked at one by one only when the
+    # sum is not finite: a finite bundle makes no mask of its shape, and finite values whose sum
+    # overflows take the one-by-one path and pass it
+    rng = np.random.default_rng(23)
+    logits = rng.normal(0.0, 3.0, (2000, 500))
+    features = rng.normal(0.0, 1.0, (2000, 500))
+    bundle = PredictionBundle(logits, rng.integers(0, 500, 2000), np.full(2000, "IID"), features=features)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        validate_bundle(bundle)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * logits.nbytes   # a mask of the logits' shape is 0.125x
+    huge = np.full((3, 2), 1.5e308)
+    simple_bundle(huge, [0, 1, 0], features=huge, externals={"x": huge[:, 0]})
+
+
 def test_binary_bad_magic(tmp_path):
     bundle = simple_bundle([[1.0, 2.0]], [0])
     write_bundle(bundle, tmp_path / "b", binary=True)

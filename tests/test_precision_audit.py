@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import simple_bundle
+from conftest import simple_bundle, three_row_blocks
 from fdeval import (
     PredictionBundle,
     SoftmaxConfig,
@@ -9,14 +11,16 @@ from fdeval import (
     aurc,
     auroc_f,
     failure_labels,
+    load_bundle,
     quantize,
     rc_curve,
     round_to_one_count,
     softmax,
     synthesize_highconf_bundle,
+    write_bundle,
 )
 from fdeval.errors import EmptyEvaluationSet, InvalidParameter
-from fdeval.scores import F16, F32, F64, PRECISIONS
+from fdeval.scores import F16, F32, F64, PRECISIONS, _softmax
 
 
 def test_round_to_one_mechanism_per_precision():
@@ -24,6 +28,9 @@ def test_round_to_one_mechanism_per_precision():
     assert round_to_one_count(row, F16) == 1
     assert round_to_one_count(row, F32) == 1
     assert round_to_one_count(row, F64) == 0
+    # a row along the last axis of any array, as softmax takes them
+    assert round_to_one_count(row[0], F16) == 1
+    assert round_to_one_count(np.stack([row, row, np.zeros((1, 3))]), F32) == 2
 
 
 def test_round_to_one_f64_threshold_sits_near_36():
@@ -152,3 +159,53 @@ def test_audit_sorts_once_per_precision(monkeypatch):
         assert report.aurc[p] == aurc(rc_curve(msr, res))
         assert report.auroc_f[p] == auroc_f(msr, res)
         assert report.round_to_one_rate[p] == round_to_one_count(logits, p) / b.n_samples
+
+
+@pytest.mark.parametrize("quantize_storage", [True, False])
+def test_audit_makes_no_array_of_the_logits_shape(quantize_storage, tmp_path):
+    # msr comes from the row-blocked logits pass, the distinct-logit test from each row's max and min,
+    # and the stored argmax one row block at a time, so the audit's temporaries are n-long. Measured:
+    # 0.05x of the logits' bytes; 2.5x (stored) and 1.5x (compute only) when each precision took a
+    # whole softmax after a quantized copy of the logits
+    b = synthesize_highconf_bundle(n=2000, c=400, failure_rate=0.3, gap_low=1, gap_high=40, seed=11)
+    b = load_bundle(write_bundle(b, tmp_path / "wide", binary=True))
+    assert not b.logits.flags.writeable   # a mapped .f64 file
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        audit(b, quantize_storage=quantize_storage)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * b.logits.nbytes
+
+
+@pytest.mark.parametrize("temperature", [1.0, 1.5])
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_softmax_of_stored_logits_is_that_of_the_f64_logits(precision, temperature):
+    # _softmax casts the logits to its precision first, so rounding them to that precision's storage
+    # grid beforehand changes no bit, in the rows beyond f16's range too, whose f16 softmax is NaN
+    x = np.random.default_rng(29).normal(0.0, 30.0, (64, 9))
+    x[::7, 3] = 7e4
+    x[::11, 5] = -1e5
+    cfg = SoftmaxConfig(precision=precision, temperature=temperature)
+    want = _softmax(x, cfg)
+    assert np.isnan(want).any() == (precision == F16)
+    assert _softmax(quantize(x, precision), cfg).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("quantize_storage", [True, False])
+def test_audit_in_row_blocks_is_the_one_block_audit(quantize_storage, workers, monkeypatch):
+    # ten rows in blocks of 3 on one or two threads; near-ties that f16 storage merges and gaps that
+    # collapse f16 and f32 make every field depend on each row
+    rng = np.random.default_rng(31)
+    logits = rng.normal(0.0, 3.0, (10, 5))
+    logits[::3, 0] += 30.0
+    logits[1, :2] = [5.0, 5.0 + 1e-9]
+    b = simple_bundle(logits, np.arange(10) % 5)
+    want = audit(b, temperature=1.5, quantize_storage=quantize_storage)
+    rows = three_row_blocks(monkeypatch, workers)
+    got = audit(b, temperature=1.5, quantize_storage=quantize_storage)
+    assert sorted(rows) == [1] * 3 + [3] * 9   # the logits pass at each precision
+    assert got == want

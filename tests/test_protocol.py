@@ -362,10 +362,10 @@ def test_a_row_has_one_maha_score_in_every_study():
 @pytest.mark.parametrize("precision", ["f16", "f32", "f64"])
 def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
     # the terms kept of the run's logits softmax, at a study's inlier rows, are the terms of those
-    # rows' own softmax; without kept terms, run_study softmaxes the rows at the configuration the
-    # scores were computed at, here no default in either field. Either way nll and brier are
-    # metrics.nll and metrics.brier of that softmax, bit for bit. c = 300 sums each Brier row in
-    # more than one of numpy's 128-element pairwise blocks
+    # rows' own softmax; without kept terms, run_study takes them from the logits pass at the
+    # configuration the scores were computed at, here no default in either field. Either way nll
+    # and brier are metrics.nll and metrics.brier of that softmax, bit for bit. c = 300 sums each
+    # Brier row in more than one of numpy's 128-element pairwise blocks
     workloads = load_fdbench_module("workloads")
     cfg = SoftmaxConfig(precision=precision, temperature=1.7)
     metrics = ("nll", "brier")
@@ -395,8 +395,8 @@ def test_nll_and_brier_read_the_run_softmax_bit_for_bit(precision):
 
 
 def test_likelihood_terms_refuse_a_label_outside_the_classes():
-    # a bundle built without validate_bundle: a -1 label would index the last class; both the kept
-    # terms and the study's own softmax refuse it, naming its row
+    # a bundle built without validate_bundle: a -1 label would index the last class; the kept terms
+    # refuse it, naming its row, whether compute_csfs or run_study asks for them
     logits = np.random.default_rng(5).normal(size=(6, 3))
     b = PredictionBundle(logits=logits, labels=np.array([0, 1, 2, -1, 0, 1]), shift_tags=np.full(6, "IID"))
     with pytest.raises(LabelOutOfRange, match=r"got -1 at row 3$"):

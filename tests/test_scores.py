@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 
 import fdeval
 import fdeval.scores
-from conftest import simple_bundle
+from conftest import simple_bundle, three_row_blocks
 from fdeval import (
     ConfidenceVector,
     PredictionBundle,
@@ -173,7 +173,7 @@ def test_entropy_is_bitwise_the_one_line_form(dtype):
     rng = np.random.default_rng(17)
     with np.errstate(under="ignore"):
         p = softmax(rng.normal(0.0, 300.0, size=(300, 5, 40))).astype(dtype)   # many exact zeros
-        wide = softmax(rng.normal(0.0, 300.0, size=(7001, 40))).astype(dtype)   # three row blocks, the last of 449 rows
+        wide = softmax(rng.normal(0.0, 300.0, size=(7001, 40))).astype(dtype)   # more rows than a _map_rows block
     assert (p == 0).any() and (wide == 0).any()
     for q in (p, p[:, 0], p[:1, :1], wide):
         got, want = _entropy(q), one_line_entropy(q)
@@ -181,11 +181,11 @@ def test_entropy_is_bitwise_the_one_line_form(dtype):
 
 
 def test_entropy_holds_one_temporary():
-    p = softmax(np.random.default_rng(19).normal(0.0, 3.0, (2000, 500)))
-    # the np.where result of one row block, logged and multiplied in place, and its p > 0 mask:
-    # about 1.1 MB of this 8 MB p; 1.1x of p when the whole of p was one block, and two full
-    # temporaries (2.0x) when the product was a new array
-    assert peak_bytes(_entropy, p) < 0.25 * p.nbytes
+    # the logits pass takes pe's entropy one row block at a time, from per-thread scratch: no array
+    # of the logits' shape is made. Two full temporaries (2.0x) when the product was a new array
+    logits = np.random.default_rng(19).normal(0.0, 3.0, (2000, 500))
+    b = simple_bundle(logits, np.arange(2000) % 500)
+    assert peak_bytes(compute_csfs, b, ["pe"]) < 0.25 * logits.nbytes
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -713,17 +713,6 @@ def ten_row_mc_bundle(seed=47, c=6, t=4):
     return simple_bundle(logits, np.arange(10) % c, mcd_logits=mcd)
 
 
-def three_row_blocks(monkeypatch, workers=1) -> list[int]:
-    """Blocks of 3 rows, which do not divide 10, on the given number of threads; returns the rows of
-    each softmax call of the logits and MC passes as they happen (in block order on one thread)."""
-    rows, real = [], fdeval.scores._softmax
-    monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width, block=None: 3)
-    monkeypatch.setattr(fdeval.scores, "_workers", lambda: workers)
-    monkeypatch.setattr(fdeval.scores, "_softmax",
-                        lambda x, cfg, out=None: rows.append(x.shape[0]) or real(x, cfg, out=out))
-    return rows
-
-
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_blocked_mc_pass_is_bitwise_the_whole_stack(precision, monkeypatch):
     b = ten_row_mc_bundle()
@@ -750,16 +739,25 @@ def test_blocked_mc_pass_names_the_global_row(precision, temperature, logit, err
 
 
 @pytest.mark.parametrize("precision, temperature, logit, error, message", [
-    (F16, 1.0, 1e5, NonFiniteValue, "mcd-msr: NaN score at row 7"),
-    (F64, 1e-300, 1e9, InvalidParameter, "overflows the f64 logits of row 7"),
+    (F16, 1.0, 1e5, NonFiniteValue, "mcd-msr: NaN score at row 4"),
+    (F64, 1e-300, 1e9, InvalidParameter, "overflows the f64 logits of row 4"),
 ])
 def test_threaded_mc_pass_names_the_global_row(precision, temperature, logit, error, message, monkeypatch):
     b = ten_row_mc_bundle()
-    b.mcd_logits[7, 2, 1] = logit   # the third block, which the second thread takes
+    b.mcd_logits[4, 2, 1] = logit   # row 1 of the second block, which the second thread takes
     rows = three_row_blocks(monkeypatch, workers=2)
+    worker_blocks, counted = [], fdeval.scores._softmax
+
+    def noting_the_worker(x, cfg, out=None):
+        if threading.current_thread() is not threading.main_thread():
+            worker_blocks.append((x.shape[0], bool((x == logit).any())))
+        return counted(x, cfg, out=out)
+
+    monkeypatch.setattr(fdeval.scores, "_softmax", noting_the_worker)
     with pytest.raises(error, match=message):
         compute_csfs(b, MC_SOFTMAX_CSFS, SoftmaxConfig(precision=precision, temperature=temperature))
     assert sorted(rows) == [1, 3, 3, 3]
+    assert worker_blocks == [(3, True), (1, False)]   # blocks 1 and 3: rows 3-5, then row 9
 
 
 @pytest.mark.parametrize("workers", [1, 2])
