@@ -44,6 +44,14 @@ CONFIGS = {
     # CI's one-CPU-and-all-of-them config: all nine CSFs
     "blocks.json": {"csfs": ALL_CSFS[:-1], "studies": [{"name": "standard", "metrics": [
         "aurc", "e-aurc", "auroc-f", "ap-f", "accuracy", "nll", "brier"]}]},
+    # one study per failure source of the blocks bundle, each with every metric it can rate: auroc-out
+    # needs new-class rows, which iid and covariate lack
+    "blocks-studies.json": {"csfs": ALL_CSFS[:-1], "studies": [
+        {"name": "iid", "shift_filter": ["IID"], "metrics": [*F16_METRICS, "ece"]},
+        {"name": "covariate", "shift_filter": ["COVARIATE"], "metrics": [*F16_METRICS, "ece"]},
+        {"name": "all", "metrics": [*F16_METRICS, "auroc-out", "ece"]},
+        {"name": "newclass", "kind": "newclass", "shift_filter": ["IID", "NEWCLASS_SEMANTIC"],
+         "metrics": [*F16_METRICS, "auroc-out", "ece"]}]},
 }
 
 # shift.csv layouts that the loader reads line by line; each copy must write what the plain bundle does
@@ -73,6 +81,8 @@ RUNS = {
        for p in ("f16", "f32", "f64")},
     "blocks-f16-t1.5": ("blocks", [*EVALUATE, "--config", "{work}/blocks.json", "--precision", "f16",
                                    "--temperature", "1.5"]),
+    **{f"blocks-studies-{p}": ("blocks", [*EVALUATE, "--config", "{work}/blocks-studies.json", "--precision", p])
+       for p in ("f16", "f32", "f64")},
     "blocks-sgr": ("blocks", ["sgr"]),
     "blocks-audit": ("blocks", ["precision-audit"]),
     "blocks-audit-compute-only": ("blocks", ["precision-audit", "--compute-only"]),

@@ -144,7 +144,7 @@ def build_run_config(args) -> RunConfig:
     temperature = getattr(args, "temperature", None)
     if temperature is None:
         temperature = data.get("temperature", 1.0)
-    softmax_cfg = SoftmaxConfig(precision=precision, temperature=float(temperature))
+    softmax_cfg = SoftmaxConfig(precision=precision, temperature=temperature)
 
     default_csfs = [MSR, PE, MLS] if getattr(args, "command", None) == "verify" else [MSR, PE]
     csfs = _valid_csfs(data.get("csfs", default_csfs))

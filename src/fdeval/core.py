@@ -21,8 +21,9 @@ file, so a bundle file must not be truncated or rewritten while it is loaded.
 The n-vectors (labels, external scores) are copied out of their mappings, so a
 loaded bundle holds at most three open files: logits, MC stack and features.
 Once validate_bundle has checked a row block of the MC-dropout stack, and once
-the MC pass has read one, that block's pages are released; a later read faults
-them back in from the page cache.
+the scoring pass (scores._pass_scores) has read a row block of the logits or of
+that stack, the block's pages are released; a later read, such as the argmax of
+the logits, faults them back in from the page cache.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
         mcd = np.asarray(bundle.mcd_logits, dtype=np.float64)
         if mcd.ndim != 3 or mcd.shape[0] != n or mcd.shape[2] != c:
             raise ShapeMismatch(f"mcd_logits: expected ({n}, t, {c}), got {mcd.shape}")
-        # one row block at a time, whose pages are then released: only the MC pass reads them again
+        # one row block at a time, whose pages are then released: only the scoring pass reads them again
         step = _rows_per_block(mcd[:1].size, _ROW_BLOCK)
         for lo in range(0, n, step):
             block = mcd[lo:lo + step]

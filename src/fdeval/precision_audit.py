@@ -23,7 +23,7 @@ from .errors import EmptyEvaluationSet, InvalidParameter
 # aurc, rc_curve, auroc_f and softmax are not called here (audit reads SWEEP_METRICS off one _Sweep,
 # and msr off the logits pass); fdbench/tracing.py binds them in fdeval.precision_audit by name
 from .metrics import SWEEP_METRICS, _Sweep, aurc, auroc_f, rc_curve  # noqa: F401
-from .scores import _DTYPES, F64, MSR, PRECISIONS, SoftmaxConfig, _logits_scores, _nan_free, quantize
+from .scores import _DTYPES, F64, PRECISIONS, SoftmaxConfig, _nan_free, _pass_scores, quantize
 from .scores import softmax  # noqa: F401
 
 # A runner-up class is kept within this many nats of the top logit so that an
@@ -46,7 +46,7 @@ def round_to_one_count(logits: np.ndarray, precision: str, temperature: float = 
     """Rows whose max softmax is exactly 1.0 despite carrying >= 2 distinct logits."""
     logits = np.asarray(logits, dtype=np.float64)
     logits = logits.reshape(-1, logits.shape[-1])   # a row along the last axis, as softmax takes them
-    msr = _logits_scores(logits, SoftmaxConfig(precision=precision, temperature=temperature), (MSR,), None)[0][MSR]
+    msr = _pass_scores(logits[:, None], SoftmaxConfig(precision=precision, temperature=temperature), ("max",))["max"]
     return int(np.count_nonzero((msr == 1.0) & (np.max(logits, axis=-1) != np.min(logits, axis=-1))))
 
 
@@ -69,7 +69,7 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
         storage = p if quantize_storage else F64
         cfg = SoftmaxConfig(precision=p, temperature=temperature)
         # a logit beyond f16's range stores as inf, and its row's msr is NaN
-        msr = _logits_scores(bundle.logits, cfg, (MSR,), None)[0][MSR]
+        msr = _pass_scores(bundle.logits[:, None], cfg, ("max",))["max"]
         msr = _nan_free(msr, f"{p} msr", bundle.logits, cfg)
         distinct = quantize(top, storage) != quantize(bottom, storage)
         report.round_to_one_rate[p] = float(np.mean((msr == 1.0) & distinct))

@@ -16,20 +16,22 @@ reduced-precision storage/compute can be reproduced exactly:
 numpy computes half +, - and / in float32 and rounds once, which gives the
 correctly rounded half (24 >= 2 * 11 + 2); half exp is not, so it runs in f64.
 
-The logits pass (msr, pe and the nll and brier terms) and the MC-dropout pass
-run over cache-sized row blocks (about 1 MB of f64 each) on one thread per CPU
-in the process's affinity mask; there is no flag or environment variable for
-it. Every step works row by row and each block writes only its own rows, so
-the scores are bitwise the same on any number of threads, and no (n, c)
-softmax is made. A thread's block temporaries are its _scratch, reused from
-block to block. These row-wise threads run before maha, whose BLAS calls leave
-worker threads spinning that would slow them down.
+One row-blocked pass (_pass_scores) scores every softmax CSF: it reads an
+(n, t, c) stack once, the logits as a stack of one pass and the MC-dropout
+stack as it is, in cache-sized row blocks (about 1 MB of f64 each) on one
+thread per CPU in the process's affinity mask; there is no flag or environment
+variable for it. Every step works row by row and each block writes only its
+own rows, so the scores are bitwise the same on any number of threads, and no
+(n, c) softmax is made. A thread's block temporaries are its _scratch, reused
+from block to block. These row-wise threads run before maha, whose BLAS calls
+leave worker threads spinning that would slow them down.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -73,8 +75,10 @@ class SoftmaxConfig:
     def __post_init__(self):
         if self.precision not in PRECISIONS:
             raise InvalidParameter(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if not 0 < self.temperature < np.inf:  # an infinite one makes every softmax row uniform
+        # an infinite temperature makes every softmax row uniform; an integer beyond float range is no float
+        if not 0 < self.temperature <= sys.float_info.max:
             raise InvalidParameter(f"temperature must be finite and positive, got {self.temperature}")
+        object.__setattr__(self, "temperature", float(self.temperature))   # kept as the float it is read as
         with np.errstate(over="ignore"):  # softmax divides by the temperature cast to the precision
             cast = _DTYPES[self.precision](self.temperature)
         if not 0 < cast < np.inf:
@@ -399,84 +403,69 @@ def likelihood_terms(p: np.ndarray, labels: np.ndarray, metrics=("nll", "brier")
     return terms
 
 
-def _logits_scores(logits: np.ndarray, cfg: SoftmaxConfig, csf_ids, labels: np.ndarray | None):
-    """msr and pe among csf_ids and, given labels, the likelihood terms (None without), from one
-    row-blocked pass over the logits. The caller checks the labels whole, so that an error names the
-    row of a bad one in the logits, not in its block."""
-    n, c = logits.shape
-    scores = {csf_id: np.empty(n) for csf_id in (MSR, PE) if csf_id in csf_ids}
-    terms = None if labels is None else {"nll": np.empty(n), "brier": np.empty(n)}
-    if not scores and terms is None:
-        return scores, terms
-
-    def block(lo: int, hi: int) -> None:
-        p = _softmax(logits[lo:hi], cfg, out=_scratch("p", (hi - lo, c)))
-        if MSR in scores:
-            np.max(p, axis=-1, out=scores[MSR][lo:hi])
-        if PE in scores:
-            _entropy(p, out=scores[PE][lo:hi])
-        if terms is not None:   # last: the brier terms overwrite p
-            for name, vec in likelihood_terms(p, labels[lo:hi]).items():
-                terms[name][lo:hi] = vec
-
-    _map_rows(block, n, c)
-    if PE in scores:
-        np.negative(scores[PE], out=scores[PE])   # the entropy, negated
-    return scores, terms
-
-
-def _mc_scores(stack: np.ndarray, cfg: SoftmaxConfig, csf_ids) -> dict[str, np.ndarray]:
-    """The MC-dropout scores among csf_ids, from one read of the (n, t, c) stack in row blocks.
-
-    Per block: the softmax of every pass, their mean over passes, the entropies of both, and the
-    logits' mean over passes for mcd-mls. Every step works row by row, so a block gives the bits of
-    the whole stack, and only a block's temporaries are held per thread. A block of a stack mapped
-    from a .f64 file releases its pages once read (core._release_pages).
-    """
+def _pass_scores(stack: np.ndarray, cfg: SoftmaxConfig, wanted, labels=None) -> dict[str, np.ndarray]:
+    """The wanted statistics of each row of an (n, t, c) stack of t passes' logits, from one read of it in
+    row blocks: max and entropy of the mean softmax over passes, expected_entropy (the mean of the passes'
+    entropies) and mls (the max of the mean logits); given labels, checked whole by the caller, also the
+    nll and brier terms of the mean softmax (likelihood_terms). The logits are a stack of one pass, whose
+    mean is a view of it: no copy, and the bits of one softmax of the logits. Every step works row by
+    row, so a block gives the bits of the whole stack, and each block gives its pages back once read
+    (core._release_pages)."""
     n, t, c = stack.shape
-    wanted = {MCD_MSR, MCD_PE, MCD_EE, MCD_MI, MCD_MLS}.intersection(csf_ids)
-    if not wanted:
-        return {}
-    msr = np.empty(n) if MCD_MSR in wanted else None
-    expected_entropy = np.empty(n) if not {MCD_EE, MCD_MI}.isdisjoint(wanted) else None
-    predictive_entropy = np.empty(n) if not {MCD_PE, MCD_MI}.isdisjoint(wanted) else None
-    mls = np.empty(n) if MCD_MLS in wanted else None
+    out = {name: np.empty(n) for name in wanted}
+    if labels is not None:
+        out.update(nll=np.empty(n), brier=np.empty(n))
+    if not out:
+        return out
+
+    def mean(rows: np.ndarray, name: str) -> np.ndarray:
+        return rows[:, 0] if t == 1 else np.mean(rows, axis=1, out=_scratch(name, (rows.shape[0], c)))
 
     def block(lo: int, hi: int) -> None:
         rows = stack[lo:hi]
-        if mls is not None:
-            np.max(np.mean(rows, axis=1, out=_scratch("mean_logits", (hi - lo, c))), axis=-1, out=mls[lo:hi])
-        if wanted != {MCD_MLS}:
-            p_mc = _softmax(rows, cfg, out=_scratch("p_mc", rows.shape))
-            if expected_entropy is not None:
-                np.mean(_entropy(p_mc), axis=-1, out=expected_entropy[lo:hi])
-            mean_p = np.mean(p_mc, axis=1, out=_scratch("mean_p", (hi - lo, c)))
-            if msr is not None:
-                np.max(mean_p, axis=-1, out=msr[lo:hi])
-            if predictive_entropy is not None:
-                _entropy(mean_p, out=predictive_entropy[lo:hi])
-        # nothing reads these rows of a mapped stack again, so their pages go back now
+        if "mls" in out:
+            np.max(mean(rows, "mean_logits"), axis=-1, out=out["mls"][lo:hi])
+        if out.keys() - {"mls"}:
+            p = _softmax(rows, cfg, out=_scratch("p", rows.shape))
+            if "expected_entropy" in out:
+                np.mean(_entropy(p), axis=-1, out=out["expected_entropy"][lo:hi])
+            mean_p = mean(p, "mean_p")
+            if "max" in out:
+                np.max(mean_p, axis=-1, out=out["max"][lo:hi])
+            if "entropy" in out:
+                _entropy(mean_p, out=out["entropy"][lo:hi])
+            if labels is not None:   # last: the brier terms overwrite mean_p
+                for name, vec in likelihood_terms(mean_p, labels[lo:hi]).items():
+                    out[name][lo:hi] = vec
+        # nothing reads these rows of a mapped stack again in this pass, so their pages go back now
         _release_pages(rows)
 
     _map_rows(block, n, t * c)
-    formulas = {
-        MCD_MSR: lambda: msr,
-        MCD_PE: lambda: -predictive_entropy,
-        MCD_EE: lambda: -expected_entropy,
-        MCD_MI: lambda: -(predictive_entropy - expected_entropy),  # predictive minus expected entropy, negated
-        MCD_MLS: lambda: mls,
-    }
-    return {csf_id: formulas[csf_id]() for csf_id in wanted}
+    return out
+
+
+# each softmax CSF: (its stack, the _pass_scores statistics it reads, two giving their difference,
+# negated, precision mode: None for the softmax's; mls and mcd-mls are maxima of the f64 logits)
+_PASS_CSFS = {
+    MSR: ("logits", ("max",), False, None),
+    PE: ("logits", ("entropy",), True, None),
+    MLS: ("logits", ("mls",), False, F64),
+    MCD_MSR: ("mcd_logits", ("max",), False, None),
+    MCD_PE: ("mcd_logits", ("entropy",), True, None),
+    MCD_EE: ("mcd_logits", ("expected_entropy",), True, None),
+    MCD_MI: ("mcd_logits", ("entropy", "expected_entropy"), True, None),   # predictive minus expected entropy
+    MCD_MLS: ("mcd_logits", ("mls",), False, F64),
+}
 
 
 def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = None, keep_terms: bool = False) -> CsfScores:
     """Evaluate each confidence scoring function over all bundle rows, sharing work between CSFs.
 
-    One row-blocked pass over the logits feeds msr and pe and, with keep_terms, the per-row terms of
-    nll and brier (likelihood_terms), which the result holds as terms, NaN on new-class rows; no
-    (n, c) softmax is made. One row-blocked pass over the MC-dropout stack feeds every mcd- CSF.
-    maha is fitted once, on the inlier-labeled rows, and scored last. The result records cfg, the
-    softmax configuration it was scored at.
+    One row-blocked pass (_pass_scores) over each stack feeds every softmax CSF (_PASS_CSFS): over the
+    logits, msr, pe, mls and, with keep_terms, the per-row terms of nll and brier (likelihood_terms),
+    which the result holds as terms, NaN on new-class rows; over the MC-dropout stack, every mcd- CSF.
+    No (n, c) softmax is made. maha is fitted once, on the inlier-labeled rows, and scored last. The
+    result records cfg, the softmax configuration it was scored at.
     """
     cfg = cfg or SoftmaxConfig()
     inlier = bundle.labels != bundle.ood_label
@@ -485,9 +474,12 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
         # a new-class row's class 0 stands in for its label, and its terms are then NaN
         c = bundle.logits.shape[1]
         labels = integer_values(np.where(inlier, bundle.labels, 0), 0, c, _LABELS_FOR_TERMS.format(c=c))
-    computed, terms = _logits_scores(bundle.logits, cfg, csf_ids, labels)
-    if bundle.mcd_logits is not None:
-        computed.update(_mc_scores(bundle.mcd_logits, cfg, csf_ids))
+    wanted = {"logits": set(), "mcd_logits": set()}
+    for stack, names, *_ in (_PASS_CSFS[csf_id] for csf_id in csf_ids if csf_id in _PASS_CSFS):
+        wanted[stack].update(names)
+    stacks = {"logits": bundle.logits[:, None], "mcd_logits": bundle.mcd_logits}
+    stats = {stack: _pass_scores(stacks[stack], cfg, names, labels if stack == "logits" else None)
+             for stack, names in wanted.items() if stacks[stack] is not None}
 
     out = CsfScores()
     out.cfg = cfg
@@ -497,26 +489,26 @@ def compute_csfs(bundle: PredictionBundle, csf_ids, cfg: SoftmaxConfig | None = 
             if name not in bundle.externals:
                 raise UnknownExternal(f"external score {name!r} not in bundle (has {sorted(bundle.externals)})")
             out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=bundle.externals[name].copy(), precision_mode=F64)
-        elif csf_id not in CSF_IDS:
-            raise InvalidParameter(f"unknown CSF {csf_id!r}")
         elif csf_id == MAHA:
             if bundle.features is None:
                 raise MissingFeatures("maha requires bundle features")
             out[csf_id] = None   # scored below, keeping its place in the order
-        elif csf_id.startswith("mcd-") and bundle.mcd_logits is None:
-            raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
+        elif csf_id in _PASS_CSFS:
+            stack, names, negated, precision = _PASS_CSFS[csf_id]
+            if stack not in stats:
+                raise MissingMcdStack(f"{csf_id} requires the mcd_logits stack")
+            first, *rest = (stats[stack][name] for name in names)
+            scores = first - rest[0] if rest else first
+            scores = -scores if negated else scores
+            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=_nan_free(scores, csf_id, stacks[stack], cfg),
+                                           precision_mode=precision or cfg.precision)
         else:
-            logits = bundle.mcd_logits if csf_id.startswith("mcd-") else bundle.logits
-            scores = computed[csf_id] if csf_id != MLS else np.max(bundle.logits, axis=-1)
-            # mls and mcd-mls are maxima of the f64 logits; no softmax, so no reduced precision
-            precision = F64 if csf_id in (MLS, MCD_MLS) else cfg.precision
-            out[csf_id] = ConfidenceVector(csf_id=csf_id, scores=_nan_free(scores, csf_id, logits, cfg),
-                                           precision_mode=precision)
-    if terms is not None:
+            raise InvalidParameter(f"unknown CSF {csf_id!r}")
+    if labels is not None:
         # two n-vectors held for the run in place of an (n, c) softmax
-        for vec in terms.values():
+        out.terms = {name: stats["logits"][name] for name in ("nll", "brier")}
+        for vec in out.terms.values():
             vec[~inlier] = np.nan
-        out.terms = terms
     # maha last: its GEMMs leave BLAS threads spinning, which slowed an MC pass started right after
     # one from 28 to 49 ms
     if MAHA in out:

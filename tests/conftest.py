@@ -98,7 +98,8 @@ def newclass_bundle() -> PredictionBundle:
 
 def three_row_blocks(monkeypatch, workers=1) -> list[int]:
     """Blocks of 3 rows, which do not divide 10, on the given number of threads; returns the rows of
-    each softmax call of the logits and MC passes as they happen (in block order on one thread)."""
+    each softmax call of the scoring pass (_pass_scores), over the logits or the MC stack, as they
+    happen (in block order on one thread)."""
     rows, real = [], fdeval.scores._softmax
     monkeypatch.setattr(fdeval.scores, "_rows_per_block", lambda width, block=None: 3)
     monkeypatch.setattr(fdeval.scores, "_workers", lambda: workers)

@@ -288,6 +288,8 @@ BROKEN_INPUTS = {
     # JSON true is no number, though Python's bool is an int
     "ece-bins-a-bool": ("config", {"ece_bins": True}, 2),
     "temperature-a-bool": ("config", {"temperature": True}, 2),
+    # a JSON integer beyond float range, which float() refuses with OverflowError
+    "temperature-beyond-float-range": ("config", {"temperature": 10**400}, 2),
     "duplicate-study-names": ("config", {"studies": [{"name": "s"}, {"name": "s", "shift_filter": ["IID"]}]}, 2),
     "meta-without-n": ("meta", {"c": 3, "t": 2, "d": 2}, 1),
     "meta-non-integer-n": ("meta", {"n": "four", "c": 3}, 1),

@@ -37,7 +37,7 @@ from fdeval.errors import (
     SingularCovariance,
     UnknownExternal,
 )
-from fdeval.scores import CSF_IDS, F16, F32, F64, PRECISIONS, _entropy
+from fdeval.scores import CSF_IDS, F16, F32, F64, PRECISIONS, _entropy, _pass_scores
 
 ROW_SUM_TOL = {F64: 1e-12, F32: 1e-5, F16: 1e-2}
 
@@ -706,6 +706,43 @@ def test_compute_csfs_is_bitwise_the_old_per_csf_path(precision, order):
 MC_SOFTMAX_CSFS = ["mcd-msr", "mcd-pe", "mcd-ee", "mcd-mi"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("temperature", [1.0, 1.5])
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_logits_pass_is_bitwise_the_softmax_of_the_logits(precision, temperature, workers, monkeypatch):
+    # the logits go through the pass as a stack of one pass: msr, pe and mls are bitwise max(softmax(x)),
+    # the negated entropy of softmax(x) and max(x); row 5 holds a logit beyond f16's range, whose f16
+    # softmax is NaN, and row 17 one below it, which stores as -inf and softmaxes to 0
+    rng = np.random.default_rng(71)
+    x = rng.normal(0.0, 8.0, (20, 9))
+    x[5, 2], x[17, 4] = 1e5, -1e5
+    cfg = SoftmaxConfig(precision=precision, temperature=temperature)
+    rows = three_row_blocks(monkeypatch, workers)
+    got = _pass_scores(x[:, None], cfg, {"max", "entropy", "mls"})
+    assert sorted(rows) == [2] + [3] * 6
+    with np.errstate(invalid="ignore"):
+        p = softmax(x, cfg)
+        want = {"max": np.max(p, axis=-1), "entropy": one_line_entropy(p), "mls": np.max(x, axis=-1)}
+    for name, vec in want.items():
+        assert got[name].tobytes() == vec.tobytes(), name
+    finite = ~np.isnan(want["max"])
+    assert finite.sum() == (19 if precision == F16 else 20)
+    scores = compute_csfs(simple_bundle(x[finite], np.arange(finite.sum()) % 9), ["msr", "pe", "mls"], cfg)
+    assert scores["msr"].scores.tobytes() == want["max"][finite].tobytes()
+    assert scores["pe"].scores.tobytes() == (-want["entropy"][finite]).tobytes()
+    assert scores["mls"].scores.tobytes() == want["mls"][finite].tobytes()
+
+
+def per_pass_mc_scores(stack, cfg):
+    """The mcd- scores of an (n, t, c) stack from the softmax of each pass, summed pass by pass."""
+    t = stack.shape[1]
+    passes = [softmax(stack[:, k], cfg) for k in range(t)]
+    mean_p = sum(passes) / t
+    predictive, expected = one_line_entropy(mean_p), sum(one_line_entropy(p) for p in passes) / t
+    return {"mcd-msr": np.max(mean_p, axis=-1), "mcd-pe": -predictive, "mcd-ee": -expected,
+            "mcd-mi": -(predictive - expected), "mcd-mls": np.max(sum(stack[:, k] for k in range(t)) / t, axis=-1)}
+
+
 def ten_row_mc_bundle(seed=47, c=6, t=4):
     rng = np.random.default_rng(seed)
     logits = rng.normal(0.0, 6.0, (10, c))
@@ -715,14 +752,17 @@ def ten_row_mc_bundle(seed=47, c=6, t=4):
 
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_blocked_mc_pass_is_bitwise_the_whole_stack(precision, monkeypatch):
-    b = ten_row_mc_bundle()
-    cfg = SoftmaxConfig(precision=precision, temperature=1.5)
+    b = ten_row_mc_bundle()   # 4 passes, so numpy's mean over them adds them in order
     rows = three_row_blocks(monkeypatch)
-    got = compute_csfs(b, MC_SOFTMAX_CSFS, cfg)
-    assert rows == [3, 3, 3, 1]
-    for csf in MC_SOFTMAX_CSFS:
-        want, _ = old_compute_csf(b, csf, cfg)   # one softmax over the whole stack
-        assert got[csf].scores.tobytes() == want.tobytes(), csf
+    for temperature in (1.0, 1.5):
+        cfg = SoftmaxConfig(precision=precision, temperature=temperature)
+        got = compute_csfs(b, MC_SOFTMAX_CSFS + ["mcd-mls"], cfg)
+        assert rows == [3, 3, 3, 1]
+        per_pass = per_pass_mc_scores(b.mcd_logits, cfg)
+        for csf in MC_SOFTMAX_CSFS + ["mcd-mls"]:
+            want, _ = old_compute_csf(b, csf, cfg)   # one softmax over the whole stack
+            assert got[csf].scores.tobytes() == want.tobytes() == per_pass[csf].tobytes(), (csf, temperature)
+        rows.clear()
 
 
 @pytest.mark.parametrize("precision, temperature, logit, error, message", [
@@ -815,14 +855,14 @@ def test_blocked_logits_pass_names_the_global_row_of_a_bad_label(monkeypatch):
 MC_FAULTS = """\
 import resource, sys
 import numpy as np
-from fdeval.scores import SoftmaxConfig, _mc_scores
+from fdeval.scores import SoftmaxConfig, _pass_scores
 stack = np.empty((2000, 4, 400))
 np.random.default_rng(67).standard_normal(out=stack)   # made in place, so no large array is freed
 if sys.argv[1] == "free":
     big = np.ones(1 << 19)
     del big
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-_mc_scores(stack, SoftmaxConfig(), ["mcd-msr", "mcd-pe", "mcd-ee", "mcd-mi"])
+_pass_scores(stack, SoftmaxConfig(), {"max", "entropy", "expected_entropy"})
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -863,7 +903,8 @@ def test_worker_count_does_not_change_the_bytes(precision, monkeypatch):
 
 
 # ru_maxrss would carry over the peak of the process that started this one, through exec, so the
-# peak is read as VmHWM, this process's own high-water mark of resident pages
+# peak is read as VmHWM, this process's own high-water mark of resident pages; the logits' resident
+# pages are the Rss of their file's mapping in smaps
 LOAD_AND_SCORE = """\
 import json, sys
 from fdeval import load_bundle
@@ -871,19 +912,27 @@ from fdeval.scores import SoftmaxConfig, compute_csfs
 def peak_kb():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+def logits_kb():
+    with open("/proc/self/smaps") as fh:
+        lines = iter(fh)
+        next(line for line in lines if line.rstrip().endswith("/logits.f64"))
+        return next(int(line.split()[1]) for line in lines if line.startswith("Rss:"))
 before = peak_kb()
 bundle = load_bundle(sys.argv[1])
+read_kb = logits_kb()
 got = {p: compute_csfs(bundle, sys.argv[2:], SoftmaxConfig(p)) for p in ("f16", "f32", "f64")}
-rise_kb = peak_kb() - before
-print(json.dumps({"rise_kb": rise_kb, "hex": {p: {csf: [float.hex(x) for x in vec.scores] for csf, vec in scores.items()}
-                                              for p, scores in got.items()}}))
+rise_kb, scored_kb = peak_kb() - before, logits_kb()
+print(json.dumps({"rise_kb": rise_kb, "logits_kb": [read_kb, scored_kb], "predicted": bundle.predicted.tolist(),
+                  "hex": {p: {csf: [float.hex(x) for x in vec.scores] for csf, vec in scores.items()}
+                          for p, scores in got.items()}}))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_mapped_mc_stack_is_not_held_and_scores_as_its_csv(tmp_path):
     # a 64 MB stack: loading it from .f64 copied it, and the copy stayed for the whole run; mapped,
-    # each row block's pages go back once the finite check and then the MC pass have read it
+    # each row block's pages go back once the finite check and then the MC pass have read it; the
+    # logits' blocks go back once their pass has read them, and the argmax maps them back in
     n, t, c = 1000, 32, 250
     rng = np.random.default_rng(61)
     logits = np.round(rng.normal(0.0, 3.0, (n, c)) * 16) / 16   # sixteenths, so the CSV stays short
@@ -892,7 +941,7 @@ def test_mapped_mc_stack_is_not_held_and_scores_as_its_csv(tmp_path):
     binary = fdeval.write_bundle(bundle, tmp_path / "f64", binary=True)
     text = fdeval.write_bundle(bundle, tmp_path / "csv")
     del bundle, logits, mcd
-    csfs = MC_SOFTMAX_CSFS + ["mcd-mls"]
+    csfs = ["msr", "pe", "mls", *MC_SOFTMAX_CSFS, "mcd-mls"]
     path = os.pathsep.join(filter(None, [str(Path(fdeval.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", LOAD_AND_SCORE, str(binary), *csfs],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
@@ -900,7 +949,11 @@ def test_mapped_mc_stack_is_not_held_and_scores_as_its_csv(tmp_path):
     mapped = json.loads(proc.stdout)
     stack_kb = n * t * c * 8 // 1024
     assert mapped["rise_kb"] < stack_kb // 2, (mapped["rise_kb"], stack_kb)
+    # resident once the finite check has read them; once scored, all but the pages that two row blocks share
+    logits_kb = n * c * 8 // 1024
+    assert mapped["logits_kb"][0] > 0.9 * logits_kb and mapped["logits_kb"][1] < logits_kb // 16, mapped["logits_kb"]
     held = fdeval.load_bundle(text)
+    assert mapped["predicted"] == held.predicted.tolist()
     for precision in PRECISIONS:
         scores = compute_csfs(held, csfs, SoftmaxConfig(precision))
         for csf in csfs:
