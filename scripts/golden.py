@@ -84,6 +84,9 @@ RUNS = {
     **{f"blocks-studies-{p}": ("blocks", [*EVALUATE, "--config", "{work}/blocks-studies.json", "--precision", p])
        for p in ("f16", "f32", "f64")},
     "blocks-sgr": ("blocks", ["sgr"]),
+    # both read predicted, the row-blocked argmax of the mapped logits
+    "blocks-rc-curve": ("blocks", ["rc-curve"]),
+    "blocks-calibrate": ("blocks", ["calibrate"]),
     "blocks-audit": ("blocks", ["precision-audit"]),
     "blocks-audit-compute-only": ("blocks", ["precision-audit", "--compute-only"]),
     "blocks-audit-t4": ("blocks", ["precision-audit", "--temperature", "4"]),

@@ -20,10 +20,12 @@ A .f64 payload is mapped, not copied: its array is a read-only view of the
 file, so a bundle file must not be truncated or rewritten while it is loaded.
 The n-vectors (labels, external scores) are copied out of their mappings, so a
 loaded bundle holds at most three open files: logits, MC stack and features.
-Once validate_bundle has checked a row block of the MC-dropout stack, and once
-the scoring pass (scores._pass_scores) has read a row block of the logits or of
-that stack, the block's pages are released; a later read, such as the argmax of
-the logits, faults them back in from the page cache.
+Each reader of the logits or of the MC-dropout stack (validate_bundle's finite
+check, the scoring pass scores._pass_scores, the argmax _argmax_rows) reads it
+in row blocks and releases each block once read, in whole 2 MiB windows of the
+mapping: the page cache may hold the file in folios of up to 2 MiB, and a fault
+maps a whole folio, so a release of the block's own pages alone would be undone
+by the first read of the next block. A later read faults the pages back in.
 """
 
 from __future__ import annotations
@@ -55,15 +57,25 @@ STUDY_KINDS = (STANDARD, NEWCLASS)
 
 BINARY_MAGIC = b"FDSB"
 _HEADER = 16
-# f64 elements per row block of the row-wise passes over the MC-dropout stack (the finite check
-# here, scores._map_rows there): 1 MB, so that a block and its temporaries stay in cache. The four
-# softmax MC CSFs of scores-wide took 61 ms with 8 MB blocks and 46 ms with these on one thread,
-# 28 ms on two (medians of 31, 2-core VM).
+# f64 elements per row block of the row-wise passes over the logits and the MC-dropout stack (the
+# finite check and the argmax here, scores._map_rows there): 1 MB, so that a block and its
+# temporaries stay in cache. The four softmax MC CSFs of scores-wide took 61 ms with 8 MB blocks and
+# 46 ms with these on one thread, 28 ms on two (medians of 31, 2-core VM).
 _ROW_BLOCK = 1 << 17
+_WINDOW = 1 << 21   # bytes: _release_pages releases whole aligned windows of this size
 
 
 def _rows_per_block(width: int, block: int) -> int:
     return max(1, block // max(width, 1))
+
+
+def _row_blocks(arr: np.ndarray):
+    """(first row, block) for each _ROW_BLOCK-element block of arr's rows; each block's pages are
+    released (_release_pages) once its reader asks for the next one."""
+    step = _rows_per_block(arr[:1].size, _ROW_BLOCK)
+    for lo in range(0, arr.shape[0], step):
+        yield lo, (block := arr[lo:lo + step])
+        _release_pages(block)
 
 
 class ShiftTag(str, enum.Enum):
@@ -168,13 +180,11 @@ class FailureLabels:
 
 def _argmax_rows(logits: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Argmax per row of logits cast to dtype, the lowest index on ties. np.argmax copies a read-only
-    array, such as a mapped .f64 file, in full, so the logits are read one _ROW_BLOCK at a time."""
-    n, c = logits.shape
-    predicted = np.empty(n, dtype=np.intp)
-    step = _rows_per_block(c, _ROW_BLOCK)
+    array, such as a mapped .f64 file, in full, so the logits are read one row block at a time."""
+    predicted = np.empty(logits.shape[0], dtype=np.intp)
     with np.errstate(over="ignore"):   # a value beyond dtype's range casts to inf
-        for lo in range(0, n, step):
-            np.argmax(logits[lo:lo + step].astype(dtype, copy=False), axis=1, out=predicted[lo:lo + step])
+        for lo, block in _row_blocks(logits):
+            np.argmax(block.astype(dtype, copy=False), axis=1, out=predicted[lo:lo + len(block)])
     return predicted
 
 
@@ -201,9 +211,11 @@ def integer_values(values: np.ndarray, lo: float, hi: float, what: str) -> np.nd
 
 
 def _release_pages(arr: np.ndarray) -> None:
-    """Drop the whole memory pages that arr spans from this process, when arr is a contiguous view of a
-    read-only file mapping (a loaded .f64 file); a later read faults them back in from the page cache.
-    Any other array is left as it is."""
+    """Drop the pages of the 2 MiB-aligned windows of the mapping that arr touches from this process,
+    when arr is a contiguous view of a read-only file mapping (a loaded .f64 file). The page cache may
+    hold the file in folios of up to 2 MiB, which a fault maps whole, so only whole windows stay
+    released. Pages of a neighbouring block dropped with them fault back in from the page cache with
+    the same bytes. Any other array is left as it is."""
     owner = arr
     while isinstance(owner, np.ndarray):
         owner = owner.base
@@ -215,8 +227,8 @@ def _release_pages(arr: np.ndarray) -> None:
     if whole.flags.writeable:   # a copy-on-write mapping would lose its writes
         return
     start = arr.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
-    lo = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
-    hi = (start + arr.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    lo = start // _WINDOW * _WINDOW
+    hi = min(-(-(start + arr.nbytes) // _WINDOW) * _WINDOW, len(owner))
     if hi > lo:
         owner.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
@@ -278,7 +290,8 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
     n, c = logits.shape
     if n < 1 or c < 2:
         raise ShapeMismatch(f"logits: need n >= 1 and c >= 2, got {n}x{c}")
-    _check_finite(logits, "logits")
+    for lo, block in _row_blocks(logits):
+        _check_finite(block, "logits", first_row=lo)
     bundle.logits = logits
 
     labels = np.asarray(bundle.labels)
@@ -300,12 +313,8 @@ def validate_bundle(bundle: PredictionBundle) -> PredictionBundle:
         mcd = np.asarray(bundle.mcd_logits, dtype=np.float64)
         if mcd.ndim != 3 or mcd.shape[0] != n or mcd.shape[2] != c:
             raise ShapeMismatch(f"mcd_logits: expected ({n}, t, {c}), got {mcd.shape}")
-        # one row block at a time, whose pages are then released: only the scoring pass reads them again
-        step = _rows_per_block(mcd[:1].size, _ROW_BLOCK)
-        for lo in range(0, n, step):
-            block = mcd[lo:lo + step]
+        for lo, block in _row_blocks(mcd):
             _check_finite(block, "mcd_logits", first_row=lo)
-            _release_pages(block)
         bundle.mcd_logits = mcd
 
     if bundle.features is not None:

@@ -1,4 +1,5 @@
 import json
+import mmap
 import os
 import re
 import struct
@@ -187,6 +188,62 @@ def test_f64_bundle_of_more_external_columns_than_open_files_scores(tmp_path):
     assert scores == pytest.approx(externals["x59"].tolist(), rel=1e-11)   # JSON keeps 12 digits
 
 
+# the Rss of the logits.f64 mapping after each reader, then the same readers' results on the mapped
+# bundle and on a writeable in-memory copy of it
+READ_MAPPED_LOGITS = """\
+import dataclasses, hashlib, json, sys
+import numpy as np
+import fdeval.scores
+from fdeval import PredictionBundle, load_bundle, precision_audit
+from fdeval.scores import compute_csfs
+def logits_kb():
+    with open("/proc/self/smaps") as fh:
+        lines = iter(fh)
+        next(line for line in lines if line.rstrip().endswith("/logits.f64"))
+        return next(int(line.split()[1]) for line in lines if line.startswith("Rss:"))
+def read(bundle, kb):
+    got = {}
+    for workers in (1, 2):
+        fdeval.scores._workers = lambda: workers
+        for csf, vec in compute_csfs(bundle, ["msr", "pe", "mls"]).items():
+            got[f"{csf}-{workers}"] = hashlib.sha256(vec.scores.tobytes()).hexdigest()
+        kb[f"scored on {workers}"] = logits_kb()
+    got["predicted"] = hashlib.sha256(bundle.predicted.tobytes()).hexdigest()
+    kb["predicted"] = logits_kb()
+    got["audit"] = dataclasses.asdict(precision_audit.audit(bundle))
+    kb["audited"] = logits_kb()
+    return got
+mapped = load_bundle(sys.argv[1])
+kb = {"loaded": logits_kb()}
+got = read(mapped, kb)
+held = PredictionBundle(np.array(mapped.logits), mapped.labels, mapped.shift_codes)
+print(json.dumps({"kb": kb, "mapped": got, "held": read(held, {})}))
+"""
+
+
+@pytest.mark.skipif(not (Path("/proc/self/smaps").exists() and hasattr(mmap, "MADV_DONTNEED")),
+                    reason="reads the Rss of a mapping from /proc/self/smaps and releases pages with madvise")
+def test_readers_of_mapped_logits_give_back_their_pages(tmp_path):
+    # 8 MB of logits, the shape of ranking-100k: the page cache may hold them in 2 MiB folios, which a
+    # fault maps whole, so each reader (the finite check, the scoring pass, the argmax, the audit)
+    # gives back whole 2 MiB windows, or the first read of a block maps the last block's pages back in
+    n, c = 100_000, 10
+    rng = np.random.default_rng(37)
+    logits = rng.normal(0.0, 3.0, (n, c))
+    logits[::9] = np.round(logits[::9])   # tied top classes
+    directory = write_bundle(simple_bundle(logits, rng.integers(0, c, n)), tmp_path / "b", binary=True)
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", READ_MAPPED_LOGITS, str(directory)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    window_kb = 2048
+    workers = {"loaded": 1, "scored on 1": 1, "scored on 2": 2, "predicted": 1, "audited": 2}
+    assert got["kb"].keys() == workers.keys()
+    assert all(got["kb"][stage] <= window_kb * w for stage, w in workers.items()), got["kb"]
+    assert got["mapped"] == got["held"]
+
+
 def test_writing_a_loaded_f64_bundle_over_its_files_keeps_it_readable(tmp_path):
     # the files are replaced, not truncated: a truncated mapped file ends the next read in SIGBUS
     bundle = rich_bundle(seed=6)
@@ -218,6 +275,22 @@ def test_nonfinite_mc_cell_is_named_by_its_row_in_any_block(tmp_path, binary):
         broken = PredictionBundle(bundle.logits, bundle.labels, bundle.shift_codes, mcd_logits=mcd)
         directory = write_bundle(broken, tmp_path / f"b{row}", binary=binary)
         with pytest.raises(NonFiniteValue, match=rf"^mcd_logits: non-finite value at row {row}$"):
+            load_bundle(directory)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_nonfinite_logit_is_named_by_its_row_in_any_block(tmp_path, binary):
+    c = 64
+    per_block = _ROW_BLOCK // c
+    n = 2 * per_block + 44   # three finite-check row blocks, the last one short
+    rng = np.random.default_rng(12)
+    bundle = simple_bundle(rng.integers(-8, 8, (n, c)) / 4, rng.integers(0, c, n))
+    for row, value in ((0, np.nan), (per_block + 5, np.inf), (n - 1, -np.inf)):
+        logits = bundle.logits.copy()
+        logits[row, 17] = value
+        directory = write_bundle(PredictionBundle(logits, bundle.labels, bundle.shift_codes), tmp_path / f"b{row}",
+                                 binary=binary)
+        with pytest.raises(NonFiniteValue, match=rf"^logits: non-finite value at row {row}$"):
             load_bundle(directory)
 
 

@@ -931,8 +931,8 @@ print(json.dumps({"rise_kb": rise_kb, "logits_kb": [read_kb, scored_kb], "predic
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_mapped_mc_stack_is_not_held_and_scores_as_its_csv(tmp_path):
     # a 64 MB stack: loading it from .f64 copied it, and the copy stayed for the whole run; mapped,
-    # each row block's pages go back once the finite check and then the MC pass have read it; the
-    # logits' blocks go back once their pass has read them, and the argmax maps them back in
+    # each row block's pages go back once the finite check and then the MC pass have read it, and so
+    # do the logits' blocks
     n, t, c = 1000, 32, 250
     rng = np.random.default_rng(61)
     logits = np.round(rng.normal(0.0, 3.0, (n, c)) * 16) / 16   # sixteenths, so the CSV stays short
@@ -949,9 +949,9 @@ def test_mapped_mc_stack_is_not_held_and_scores_as_its_csv(tmp_path):
     mapped = json.loads(proc.stdout)
     stack_kb = n * t * c * 8 // 1024
     assert mapped["rise_kb"] < stack_kb // 2, (mapped["rise_kb"], stack_kb)
-    # resident once the finite check has read them; once scored, all but the pages that two row blocks share
+    # given back once the finite check has read them, and again once scored
     logits_kb = n * c * 8 // 1024
-    assert mapped["logits_kb"][0] > 0.9 * logits_kb and mapped["logits_kb"][1] < logits_kb // 16, mapped["logits_kb"]
+    assert max(mapped["logits_kb"]) < logits_kb // 16, mapped["logits_kb"]
     held = fdeval.load_bundle(text)
     assert mapped["predicted"] == held.predicted.tolist()
     for precision in PRECISIONS:
