@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PredictionBundle, ShiftTag, _argmax_rows, failure_labels, validate_bundle
+from .core import PredictionBundle, ShiftTag, _argmax_rows, _row_blocks, failure_labels, validate_bundle
 from .errors import EmptyEvaluationSet, InvalidParameter
 # aurc, rc_curve, auroc_f and softmax are not called here (audit reads SWEEP_METRICS off one _Sweep,
 # and msr off the logits pass); fdbench/tracing.py binds them in fdeval.precision_audit by name
@@ -42,12 +42,23 @@ class PrecisionAuditReport:
     accuracy: dict[str, float] = field(default_factory=dict)
 
 
+def _row_extremes(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max and min, one row block at a time, so a mapped .f64 file gives its pages back as
+    they are read (core._row_blocks)."""
+    top, bottom = np.empty(logits.shape[0]), np.empty(logits.shape[0])
+    for lo, block in _row_blocks(logits):
+        np.max(block, axis=-1, out=top[lo:lo + len(block)])
+        np.min(block, axis=-1, out=bottom[lo:lo + len(block)])
+    return top, bottom
+
+
 def round_to_one_count(logits: np.ndarray, precision: str, temperature: float = 1.0) -> int:
     """Rows whose max softmax is exactly 1.0 despite carrying >= 2 distinct logits."""
     logits = np.asarray(logits, dtype=np.float64)
     logits = logits.reshape(-1, logits.shape[-1])   # a row along the last axis, as softmax takes them
     msr = _pass_scores(logits[:, None], SoftmaxConfig(precision=precision, temperature=temperature), ("max",))["max"]
-    return int(np.count_nonzero((msr == 1.0) & (np.max(logits, axis=-1) != np.min(logits, axis=-1))))
+    top, bottom = _row_extremes(logits)
+    return int(np.count_nonzero((msr == 1.0) & (top != bottom)))
 
 
 def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: bool = True) -> PrecisionAuditReport:
@@ -63,7 +74,7 @@ def audit(bundle: PredictionBundle, temperature: float = 1.0, quantize_storage: 
         raise EmptyEvaluationSet("no samples to audit")
     res = failure_labels(bundle).residuals
     # rounding is monotone, so a row's stored logits are distinct where its rounded max and min differ
-    top, bottom = np.max(bundle.logits, axis=-1), np.min(bundle.logits, axis=-1)
+    top, bottom = _row_extremes(bundle.logits)
     report = PrecisionAuditReport(precisions=list(PRECISIONS))
     for p in PRECISIONS:
         storage = p if quantize_storage else F64

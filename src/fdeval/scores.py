@@ -228,11 +228,6 @@ class MahaModel:
     ridge: float
 
 
-# f64 elements per block: rows x classes of maha's expanded distances, or (row,
-# class) pairs x dim of its refined differences; 2**20 elements keep a block at
-# 8 MB. The block sets the row count of each GEMM, and with it OpenBLAS's kernel
-# and so the bits, so it stays.
-_BLOCK = 1 << 20
 # Relative margin of the candidate pick. The expanded distance of row i to
 # class c differs from the difference form by cancellation and whitening
 # error, measured at about u * cond(L) * (|z_i|^2 + max_c |m_c|^2), u = 1.1e-16.
@@ -243,6 +238,9 @@ _BLOCK = 1 << 20
 # more than three orders of magnitude, and the pick then holds the argmin of
 # the difference form.
 _MAHA_MARGIN = 1e-8
+# Fewest output values of a _whiten product: OpenBLAS (0.3.31, x86-64) sends a product of at most 1200
+# through its small-matrix kernels, which give a row other bits than a larger product does.
+_MIN_PRODUCT = 1 << 11
 
 
 def _workers() -> int:
@@ -307,66 +305,73 @@ def _map_rows(fn, n: int, width: int) -> None:
 
 
 def _whiten(rows: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
-    """L^-1 x for every row x, as one GEMM."""
-    return rows @ inv_chol.T
+    """L^-1 x for every row x, as one GEMM that gives each row the bits it has in any other product.
+
+    inv_chol is L^-1 with zero rows appended up to a multiple of 8 rows, and rows are padded with zero
+    rows up to two rows and _MIN_PRODUCT output values. Without this, OpenBLAS gives a row other bits
+    in a one-row product (numpy sends it to gemv), in its small-matrix kernels and, at larger d, in the
+    last d mod 8 columns, where they depend on the product's other rows. Returns a view, rows x d.
+    """
+    count = rows.shape[0]
+    least = max(2, -(-_MIN_PRODUCT // inv_chol.shape[0]))
+    if count < least:
+        rows = np.concatenate([rows, np.zeros((least - count, rows.shape[1]))])
+    return (rows @ inv_chol.T)[:count, :inv_chol.shape[1]]
 
 
 def score_mahalanobis(model: MahaModel, features: np.ndarray) -> ConfidenceVector:
     """Negated minimum squared Mahalanobis distance to any class mean.
 
-    With L the Cholesky factor and c the mean of the class means, features and
-    means are whitened once by the inverse factor (z = L^-1 (x - c),
-    m = L^-1 (mu - c)), and one GEMM per row block gives the expanded distances
-    |z|^2 - 2 z.m + |m|^2. Every class within _MAHA_MARGIN of a row's smallest
-    expanded distance is a candidate, and the score is the minimum of the
-    difference form |L^-1 (x - mu_c)|^2 over the candidates, so the
-    cancellation of the expansion never reaches the result.
+    With L the Cholesky factor and c the mean of the class means, the means are whitened by the
+    inverse factor (m = L^-1 (mu - c)). One pass on this thread then takes the features in blocks of
+    _ROW_BLOCK // max(d, k) rows: it checks a block's values, whitens its rows (z = L^-1 (x - c)), and
+    one GEMM gives their expanded distances |z|^2 - 2 z.m + |m|^2. Every class within _MAHA_MARGIN of
+    a row's smallest is a candidate, and the score is the minimum of the difference form
+    |L^-1 (x - mu_c)|^2 over the candidates, so the cancellation of the expansion never reaches the
+    result. The block's pages then go back (core._release_pages).
+
+    The candidates always hold the class of the smallest difference form, so its GEMMs alone set the
+    scores' bits, and _whiten gives a row the same bits in any block.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != model.means.shape[1]:
         raise InvalidParameter(f"features {feats.shape} do not match model dim {model.means.shape[1]}")
-    _check_finite(feats, "features")
     n, dim = feats.shape
-    inv_chol = np.linalg.inv(model.chol_lower)
+    inv_chol = np.zeros((-(-dim // 8) * 8, dim))   # L^-1 with _whiten's zero rows
+    inv_chol[:dim] = np.linalg.inv(model.chol_lower)
     # centering keeps a common feature offset out of |z|^2 and so out of the
     # margin; the distances do not change
     center = model.means.mean(axis=0)
-    z = _whiten(feats - center, inv_chol)
     m = _whiten(model.means - center, inv_chol)
-    zz = np.einsum("ij,ij->i", z, z)
     mm = np.einsum("ij,ij->i", m, m)
-    margin = _MAHA_MARGIN * (zz + mm.max())
-
-    rows, classes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # n = 0 concatenates too
-    step = _rows_per_block(model.means.shape[0], _BLOCK)
-    block = near = None   # n = 0 makes neither
-    for lo in range(0, n, step):
-        block = z[lo:lo + step] @ m.T
-        block *= -2.0
-        block += zz[lo:lo + step, None]
-        block += mm
-        low = block.min(axis=1)
-        near = block <= (low + margin[lo:lo + step])[:, None]
-        # an overflowed expansion (inf, or inf - inf) ranks nothing: refine every class
-        near[~np.isfinite(low)] = True
-        r, c = np.nonzero(near)
-        rows.append(r + lo)
-        classes.append(c)
-    rows, classes = np.concatenate(rows), np.concatenate(classes)
-    del z, block, near   # before the refinement's arrays are made
+    top = mm.max()
 
     best = np.full(n, np.inf)
-    step = _rows_per_block(dim, _BLOCK)
-    means_step = _rows_per_block(dim, _ROW_BLOCK)
-    for lo in range(0, rows.size, step):
-        r, c = rows[lo:lo + step], classes[lo:lo + step]
-        # x - mu_c in the gathered rows, the means gathered a few rows at a time
-        diff = feats[r]
-        for at in range(0, r.size, means_step):
-            diff[at:at + means_step] -= model.means[c[at:at + means_step]]
-        w = _whiten(diff, inv_chol)
-        del diff
-        np.minimum.at(best, r, np.einsum("ij,ij->i", w, w))
+    step = _rows_per_block(max(dim, m.shape[0]), _ROW_BLOCK)
+    pairs_step = _rows_per_block(dim, _ROW_BLOCK)
+    for lo in range(0, n, step):
+        block = feats[lo:lo + step]
+        _check_finite(block, "features", lo)
+        z = _whiten(block - center, inv_chol)
+        zz = np.einsum("ij,ij->i", z, z)
+        dist = z @ m.T
+        dist *= -2.0
+        dist += zz[:, None]
+        dist += mm
+        low = dist.min(axis=1)
+        near = dist <= (low + _MAHA_MARGIN * (zz + top))[:, None]
+        # an overflowed expansion (inf, or inf - inf) ranks nothing: refine every class
+        near[~np.isfinite(low)] = True
+        rows, classes = np.nonzero(near)
+        del z, dist, near   # before the refinement's arrays are made
+        for at in range(0, rows.size, pairs_step):
+            r, c = rows[at:at + pairs_step], classes[at:at + pairs_step]
+            diff = block[r]   # x - mu_c in the gathered rows
+            diff -= model.means[c]
+            w = _whiten(diff, inv_chol)
+            np.minimum.at(best, r + lo, np.einsum("ij,ij->i", w, w))
+        # nothing reads these rows again, so a mapped file's pages go back now
+        _release_pages(block)
     return ConfidenceVector(csf_id=MAHA, scores=-best + 0.0, precision_mode=F64)
 
 

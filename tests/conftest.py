@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +19,30 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+# source of mapped_kb(name) for a child process's script: the Rss, in kB, of its mapping of the file
+# called name (a loaded .f64 bundle file), from /proc/self/smaps
+MAPPED_KB = """\
+def mapped_kb(name):
+    with open("/proc/self/smaps") as fh:
+        lines = iter(fh)
+        next(line for line in lines if line.rstrip().endswith("/" + name))
+        return next(int(line.split()[1]) for line in lines if line.startswith("Rss:"))
+"""
+# a child process's own high-water mark of resident pages, in kB: ru_maxrss would carry over the
+# peak of the process that started it, through exec
+PEAK_KB = """\
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports fdeval from this checkout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def load_fdbench_module(name: str):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO, newclass_bundle, simple_bundle
+from conftest import MAPPED_KB, REPO, newclass_bundle, simple_bundle
 from fdeval.core import _ROW_BLOCK, ALL_TAGS, NEWCLASS_TAGS, _exact_tag_codes
 from fdeval import (
     NEWCLASS,
@@ -190,17 +190,14 @@ def test_f64_bundle_of_more_external_columns_than_open_files_scores(tmp_path):
 
 # the Rss of the logits.f64 mapping after each reader, then the same readers' results on the mapped
 # bundle and on a writeable in-memory copy of it
-READ_MAPPED_LOGITS = """\
+READ_MAPPED_LOGITS = MAPPED_KB + """\
 import dataclasses, hashlib, json, sys
 import numpy as np
 import fdeval.scores
 from fdeval import PredictionBundle, load_bundle, precision_audit
 from fdeval.scores import compute_csfs
 def logits_kb():
-    with open("/proc/self/smaps") as fh:
-        lines = iter(fh)
-        next(line for line in lines if line.rstrip().endswith("/logits.f64"))
-        return next(int(line.split()[1]) for line in lines if line.startswith("Rss:"))
+    return mapped_kb("logits.f64")
 def read(bundle, kb):
     got = {}
     for workers in (1, 2):

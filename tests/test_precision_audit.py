@@ -1,9 +1,14 @@
+import dataclasses
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import simple_bundle, three_row_blocks
+from conftest import PEAK_KB, child_env, simple_bundle, three_row_blocks
 from fdeval import (
     PredictionBundle,
     SoftmaxConfig,
@@ -178,6 +183,35 @@ def test_audit_makes_no_array_of_the_logits_shape(quantize_storage, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * b.logits.nbytes
+
+
+# the rise of this process's peak resident kB while it audits a mapped bundle, and the report
+AUDIT_MAPPED = PEAK_KB + """\
+import dataclasses, json, sys
+from fdeval import audit, load_bundle
+bundle = load_bundle(sys.argv[1])
+before = peak_kb()
+report = dataclasses.asdict(audit(bundle))
+print(json.dumps({"rise_kb": peak_kb() - before, "report": report}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_audit_of_a_mapped_bundle_holds_little_of_its_logits(tmp_path):
+    # 64 MB of logits, read in row blocks that give their pages back (core._row_blocks). The rise,
+    # 6-8 MB, is the scoring pass's per-thread scratch and pages in flight. Taking each row's max and
+    # min over the whole array made every page of logits.f64 resident at once: a 62.5 MB rise
+    n, c = 20_000, 400
+    rng = np.random.default_rng(31)
+    b = PredictionBundle(rng.normal(0.0, 4.0, (n, c)), rng.integers(0, c, n), np.full(n, "IID"))
+    directory = write_bundle(b, tmp_path / "b", binary=True)
+    proc = subprocess.run([sys.executable, "-c", AUDIT_MAPPED, str(directory)],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    logits_kb = b.logits.nbytes // 1024
+    assert got["rise_kb"] < logits_kb // 4, (got["rise_kb"], logits_kb)
+    assert got["report"] == json.loads(json.dumps(dataclasses.asdict(audit(b))))
 
 
 @pytest.mark.parametrize("temperature", [1.0, 1.5])

@@ -1,4 +1,5 @@
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from scipy.linalg import solve_triangular
 
 import fdeval
 import fdeval.scores
-from conftest import simple_bundle, three_row_blocks
+from conftest import MAPPED_KB, PEAK_KB, child_env, simple_bundle, three_row_blocks
 from fdeval import (
     ConfidenceVector,
     PredictionBundle,
@@ -420,7 +421,8 @@ def per_class_mahalanobis(model, feats):
 
 
 def recording_whiten(monkeypatch) -> list[int]:
-    """Rows of every whitening GEMM score_mahalanobis makes: features, means, then each refine block."""
+    """Rows of every whitening GEMM score_mahalanobis makes: the means, then for each row block of the
+    features its rows and then each refine chunk of its candidate pairs."""
     whitened = []
     real = fdeval.scores._whiten
 
@@ -472,7 +474,8 @@ def test_mahalanobis_matches_per_class_loop(name, monkeypatch):
         want = per_class_mahalanobis(model, rows)
     assert np.array_equal(np.argsort(got, kind="stable"), np.argsort(want, kind="stable"))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
-    assert whitened[:2] == [rows.shape[0], model.means.shape[0]]
+    # the means once, then the features, whose 350 or 300 rows of 32 are one row block
+    assert whitened[:2] == [model.means.shape[0], rows.shape[0]]
     if name in ("overflowing-expansion", "equidistant"):
         # midpoints keep both of their classes and overflowed rows every class,
         # so the refine blocks see more pairs than rows
@@ -490,8 +493,83 @@ def test_mahalanobis_solve_count_does_not_grow_with_classes(monkeypatch):
         whitened.clear()
         score_mahalanobis(model, feats)
         counts.append(len(whitened))
-    # features, means and one refine block
+    # the means, then the one row block of 128 rows and its one refine chunk
     assert counts == [3, 3, 3]
+
+
+@pytest.mark.parametrize("dim", [32, 201])
+def test_maha_scores_do_not_depend_on_the_row_block(dim, monkeypatch):
+    # 301 rows in blocks of 1, 3, 7 and 100 rows, the last block of one row for 1, 3 and 100; the
+    # refine GEMMs then range from 1 to about 100 rows. Unpadded, OpenBLAS gives a row other bits in
+    # a GEMM of one row (gemv), in one of at most 1200 values and, at d = 201, in the last d mod 8
+    # columns, so each block size gave other scores. A single block is the whole-array formulation.
+    n, k = 301, 12
+    rng = np.random.default_rng(43)
+    centers = rng.normal(0.0, 2.0, (k, dim))
+    labels = np.arange(4 * k) % k
+    model = fit_mahalanobis(centers[labels] + rng.normal(size=(labels.size, dim)), labels)
+    feats = centers[rng.integers(0, k, n)] + rng.normal(size=(n, dim))
+    whole = score_mahalanobis(model, feats).scores   # _ROW_BLOCK // dim rows: one block
+    assert n * dim <= fdeval.scores._ROW_BLOCK
+    for rows in (1, 3, 7, 100):
+        monkeypatch.setattr(fdeval.scores, "_ROW_BLOCK", rows * dim)
+        whitened = recording_whiten(monkeypatch)
+        assert score_mahalanobis(model, feats).scores.tobytes() == whole.tobytes(), rows
+        # the means once, then each block's rows and the one refine chunk of its one candidate a row
+        assert whitened[0] == k and whitened[1::2] == whitened[2::2], rows
+        assert whitened[1::2] == [rows] * (n // rows) + [n % rows] * (n % rows > 0), rows
+
+
+def maha_peak(n: int, dim: int = 64, k: int = 10) -> int:
+    """Traced peak of score_mahalanobis on n rows, less its three n-long arrays (best, -best and the scores)."""
+    rng = np.random.default_rng(47)
+    centers = rng.normal(0.0, 2.0, (k, dim))
+    labels = np.arange(4 * k) % k
+    model = fit_mahalanobis(centers[labels] + rng.normal(size=(labels.size, dim)), labels)
+    feats = centers[rng.integers(0, k, n)] + rng.normal(size=(n, dim))
+    return peak_bytes(score_mahalanobis, model, feats) - 3 * 8 * n
+
+
+def test_maha_peak_does_not_grow_with_the_rows():
+    # one row block of _ROW_BLOCK values at a time: the whitened rows and feats - center of the
+    # whole array grew the peak by 16 bytes a feature, 12.6 MB more at 4x these rows
+    small, large = maha_peak(4000), maha_peak(16000)
+    assert large <= small + 64 * 1024, (small, large)
+    assert small < 8 * fdeval.scores._ROW_BLOCK * 8, small
+
+
+# the Rss of the features.f64 mapping once maha is fitted and scored on a mapped bundle, and the
+# scores, with those of a writeable in-memory copy of the bundle
+SCORE_MAPPED_FEATURES = MAPPED_KB + """\
+import json, sys
+import numpy as np
+from fdeval import PredictionBundle, load_bundle
+from fdeval.scores import compute_csfs
+mapped = load_bundle(sys.argv[1])
+scores = compute_csfs(mapped, ["maha"])["maha"].scores
+kb = mapped_kb("features.f64")
+held = PredictionBundle(mapped.logits, mapped.labels, mapped.shift_codes, features=np.array(mapped.features))
+print(json.dumps({"kb": kb, "same": compute_csfs(held, ["maha"])["maha"].scores.tobytes() == scores.tobytes()}))
+"""
+
+
+@pytest.mark.skipif(not (Path("/proc/self/smaps").exists() and hasattr(mmap, "MADV_DONTNEED")),
+                    reason="reads the Rss of a mapping from /proc/self/smaps and releases pages with madvise")
+def test_scoring_maha_gives_back_the_mapped_features(tmp_path):
+    # 10 MB of features: the load's finite check and the fit's gather of the inlier rows map them
+    # all, and each row block of the score gives its 2 MiB windows back once scored
+    n, k, dim = 20_000, 10, 64
+    rng = np.random.default_rng(53)
+    labels = rng.integers(0, k, n)
+    feats = rng.normal(0.0, 2.0, (k, dim))[labels] + rng.normal(size=(n, dim))
+    bundle = simple_bundle(rng.normal(size=(n, k)), labels, features=feats)
+    directory = fdeval.write_bundle(bundle, tmp_path / "b", binary=True)
+    proc = subprocess.run([sys.executable, "-c", SCORE_MAPPED_FEATURES, str(directory)],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["kb"] <= 2048 < feats.nbytes // 1024, got
+    assert got["same"]
 
 
 def test_maha_csf_fits_on_inlier_rows_only():
@@ -902,21 +980,13 @@ def test_worker_count_does_not_change_the_bytes(precision, monkeypatch):
         assert got[1][csf].scores.tobytes() == old_compute_csf(b, csf, cfg)[0].tobytes(), csf
 
 
-# ru_maxrss would carry over the peak of the process that started this one, through exec, so the
-# peak is read as VmHWM, this process's own high-water mark of resident pages; the logits' resident
-# pages are the Rss of their file's mapping in smaps
-LOAD_AND_SCORE = """\
+# the peak is read as VmHWM (PEAK_KB); the logits' resident pages are the Rss of their file's mapping
+LOAD_AND_SCORE = PEAK_KB + MAPPED_KB + """\
 import json, sys
 from fdeval import load_bundle
 from fdeval.scores import SoftmaxConfig, compute_csfs
-def peak_kb():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 def logits_kb():
-    with open("/proc/self/smaps") as fh:
-        lines = iter(fh)
-        next(line for line in lines if line.rstrip().endswith("/logits.f64"))
-        return next(int(line.split()[1]) for line in lines if line.startswith("Rss:"))
+    return mapped_kb("logits.f64")
 before = peak_kb()
 bundle = load_bundle(sys.argv[1])
 read_kb = logits_kb()
