@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import os
 import re
@@ -445,5 +446,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The program's entry, as `fdeval` and as `python -m fdeval.cli`: main, then exit with its code.
+
+    The heap is frozen first (gc.freeze), so that the interpreter's teardown does not run a cyclic
+    collection over every object made at import. Library callers and tests call main, which may run
+    again in the same process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FailureLabels, integer_values
 from .errors import DegenerateLabels, EmptyEvaluationSet, ShapeMismatch
-from .scores import ConfidenceVector, likelihood_terms
+from .scores import ConfidenceVector, _scratch, likelihood_terms
 
 
 @dataclass
@@ -40,26 +40,66 @@ def _conf_array(scores) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64).reshape(-1)
 
 
-def _residuals_and_mask(failure) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals, each 0 or 1, as int64, and the evaluation mask, all rows for a bare array."""
+def _residuals_and_mask(failure) -> tuple[np.ndarray, np.ndarray | None]:
+    """The residuals, each 0 or 1, as int64, and the evaluation mask, None (all rows) for a bare array."""
     res, mask = (failure.residuals, failure.eval_mask) if isinstance(failure, FailureLabels) else (failure, None)
     res = integer_values(np.asarray(res).reshape(-1), 0, 2, "residuals must be 0 or 1")
-    return res, np.ones(res.shape[0], dtype=bool) if mask is None else mask.astype(bool)
+    return res, None if mask is None else mask.astype(bool)
 
 
 def _masked(scores, failure) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluated confidences and residuals; for bare residuals, the arrays as given, not copies."""
     conf = _conf_array(scores)
     res, mask = _residuals_and_mask(failure)
     if conf.shape != res.shape:
         raise ShapeMismatch(f"scores {conf.shape} and residuals {res.shape} do not align")
-    conf, res = conf[mask], res[mask]
+    if mask is not None:
+        conf, res = conf[mask], res[mask]
     if conf.shape[0] == 0:
         raise EmptyEvaluationSet("no samples left after masking")
     return conf, res
 
 
+def _words(name: str, n: int, dtype=np.int64) -> np.ndarray:
+    """n 8-byte words of scratch, as int64 or float64: inside run_study the study's held array of that
+    name (scores._scratch), else a new one.
+
+    Each holds data only until the next call that writes it, and a call that holds data in one calls
+    nothing that writes it. The words are written by:
+        w1  _Sweep, _curve, aurc, _Sweep.counts, .auroc and .ap, the SVG path (reporting._path), platt_fit
+        w2  _Sweep, _curve, _Sweep.ap, the SVG path, platt_fit, platt_apply, ece
+        w3  run_study (a CSF's evaluated confidences), _Sweep.counts (its per-group counts)
+        w4  platt_fit, platt_apply, ece
+        w5  platt_fit, platt_apply
+    and the flags b0 and b1 (_flags) by _Sweep, _Sweep.counts, _optimal_aurc, platt_fit and platt_apply.
+    """
+    return _scratch(name, (n,), np.int64).view(dtype)
+
+
+def _flags(name: str, n: int) -> np.ndarray:
+    """n booleans of scratch, as _words gives words."""
+    return _scratch(name, (n,), bool)
+
+
+_GATHER_BLOCK = 1 << 13
+
+
+def _compress(mask: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[mask], written into the start of out and returned as that part of it. It is gathered a
+    block at a time, so no temporary is as long as values, where np.compress buffers its whole result."""
+    at = 0
+    for lo in range(0, mask.shape[0], _GATHER_BLOCK):
+        part = values[lo:lo + _GATHER_BLOCK][mask[lo:lo + _GATHER_BLOCK]]
+        out[at:at + part.shape[0]] = part
+        at += part.shape[0]
+    return out[:at]
+
+
 def _curve(res: np.ndarray, starts: np.ndarray) -> RiskCoverageCurve:
-    """Risk-coverage curve of residuals in sweep order, tie groups starting at starts."""
+    """Risk-coverage curve of residuals in sweep order, tie groups starting at starts.
+
+    Its steps run in the words w1 and w2; the three arrays of the curve are the only new ones.
+    """
     n = res.shape[0]
     total = int(res.sum())
     if n == 1:
@@ -69,30 +109,39 @@ def _curve(res: np.ndarray, starts: np.ndarray) -> RiskCoverageCurve:
             weights=np.zeros(0),
         )
     # a point is recorded after dropping the first row of each tie group,
-    # except a group that starts at the last row
-    idxs = starts[starts < n - 1]
+    # except a group that starts at the last row; starts ascend, so those are a prefix
+    k = int(np.searchsorted(starts, n - 1))
+    idxs = starts[:k]
+    trailing = (n - 2) - int(idxs[-1])
+    size = k + 1 + (trailing > 0)
+    coverages, risks, weights = np.empty(size), np.empty(size), np.empty(size - 1)
+    coverages[0], risks[0] = 1.0, total / n
     # errors remaining after dropping samples 0..i of the sweep
-    err_after = total - np.cumsum(res[: n - 1])[idxs]
-
-    coverages = [[1.0], (n - 1 - idxs) / n]
-    risks = [[total / n], err_after / (n - 1 - idxs)]
-    weights = [np.diff(idxs, prepend=-1) / n]
-
-    trailing = (n - 2) - idxs[-1]
+    dropped = _words("w1", n)[: n - 1]
+    dropped[...] = res[: n - 1]
+    np.cumsum(dropped, out=dropped)
+    err_after = np.take(dropped, idxs, out=_words("w2", n)[:k], mode="clip")   # "clip" writes out unbuffered
+    np.subtract(total, err_after, out=err_after)
+    left = np.subtract(n - 1, idxs, out=_words("w1", n)[:k])   # rows left after each recorded drop
+    np.divide(left, n, out=coverages[1:k + 1])
+    np.divide(err_after, left, out=risks[1:k + 1])
+    # the rows each point absorbed: idxs less the idxs before it, -1 before the first
+    steps = np.subtract(idxs[1:], idxs[:-1], out=_words("w1", n)[1:k])
+    weights[0] = (int(idxs[0]) + 1) / n
+    np.divide(steps, n, out=weights[1:k])
     if trailing > 0:
-        coverages.append([0.0])
-        risks.append(risks[-1][-1:])
-        weights.append([trailing / n])
-    return RiskCoverageCurve(
-        coverages=np.concatenate(coverages), risks=np.concatenate(risks), weights=np.concatenate(weights)
-    )
+        coverages[-1], risks[-1], weights[-1] = 0.0, risks[-2], trailing / n
+    return RiskCoverageCurve(coverages=coverages, risks=risks, weights=weights)
 
 
 class _Sweep:
     """Confidences in ascending order, ties by index, cut into tie groups, with their residuals in that order.
 
-    res and the flags passed to counts are in the row order of conf; the
-    failures per tie group and the curve are built when first read.
+    res is in sweep order, and the flags passed to counts in the row order
+    of conf; the curve is built when first read. order, res, starts, sizes
+    and the curve are new arrays; every other step runs in scratch words and
+    flags (_words), and the counts per tie group are read from w3 until the
+    next call writes it.
     """
 
     def __init__(self, conf: np.ndarray, res: np.ndarray):
@@ -101,31 +150,57 @@ class _Sweep:
         # integer sort of (run, index) keys over those rows puts each run back
         # into index order, which makes the order exactly the stable one
         order = np.argsort(conf)
-        c = conf[order]
-        n = c.shape[0]
-        same = c[1:] == c[:-1]
-        self.starts = np.flatnonzero(np.r_[True, ~same])
-        self.sizes = np.diff(self.starts, append=n)
-        same |= np.isnan(c[:-1])  # each NaN is its own group, but the NaN tail is one run to repair
-        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-        if tied.size:
-            keys = np.cumsum(np.r_[True, ~same])[tied] * n + order[tied]
+        n = order.shape[0]
+        c = np.take(conf, order, out=_words("w1", n, np.float64), mode="clip")   # "clip" writes out unbuffered
+        same = np.equal(c[1:], c[:-1], out=_flags("b0", n)[: n - 1])
+        first = _flags("b1", max(n, 1))   # the first row of each tie group; no rows are one empty group
+        first[:1] = True
+        np.logical_not(same, out=first[1:])
+        self.starts = np.flatnonzero(first)
+        self.sizes = np.empty_like(self.starts)
+        np.subtract(self.starts[1:], self.starts[:-1], out=self.sizes[:-1])
+        self.sizes[-1:] = n - self.starts[-1:]
+        # each NaN is its own group, but the NaN tail is one run to repair
+        same |= np.isnan(c[:-1], out=first[: n - 1])
+        # the 0-based run of each row: the runs that ended before it
+        runs = _words("w1", n)
+        runs[:1] = 0
+        runs[1:] = np.logical_not(same, out=first[: n - 1])
+        np.cumsum(runs, out=runs)
+        tied = first   # the rows of runs longer than one: same as the row after them or the row before
+        tied[: n - 1] = same
+        tied[n - 1:] = False
+        tied[1:] |= same
+        m = int(np.count_nonzero(tied))
+        if m:
+            keys = _compress(tied, runs, _words("w2", n))
+            keys *= n
+            keys += _compress(tied, order, runs)
             keys.sort()
-            order[tied] = keys % n
+            order[tied] = np.remainder(keys, n, out=keys)
         self.order = order
         self.res = res[order]
 
-    @cached_property
     def failures(self) -> np.ndarray:
-        return np.add.reduceat(self.res, self.starts, dtype=np.int64)
+        """The failures in each tie group, in the scratch word w3."""
+        return self.counts(self.res, ordered=True)
+
+    def successes(self) -> np.ndarray:
+        """The successes in each tie group, its size less its failures, in the scratch word w3."""
+        failures = self.failures()
+        return np.subtract(self.sizes, failures, out=failures)
 
     @cached_property
     def curve(self) -> RiskCoverageCurve:
         return _curve(self.res, self.starts)
 
-    def counts(self, flags: np.ndarray) -> np.ndarray:
-        """The number of set flags in each tie group, the input of auroc and ap."""
-        return np.add.reduceat(flags[self.order], self.starts, dtype=np.int64)
+    def counts(self, flags: np.ndarray, ordered: bool = False) -> np.ndarray:
+        """The number of set flags (or the sum of 0/1 values) in each tie group, in the scratch word w3:
+        the input of auroc and ap. flags are in the row order of conf, or in sweep order if ordered."""
+        n = self.order.shape[0]
+        values = _words("w1", n)   # as int64, so that reduceat makes no cast copy
+        values[...] = flags if ordered else np.take(flags, self.order, out=_flags("b0", n), mode="clip")
+        return np.add.reduceat(values, self.starts, out=_words("w3", n)[: self.starts.shape[0]])
 
     def auroc(self, pos: np.ndarray) -> float:
         """Mann-Whitney AUROC with half credit per tied pair, via midranks, of pos positives per tie group."""
@@ -135,7 +210,11 @@ class _Sweep:
             raise DegenerateLabels(f"need both outcomes, got {n_pos} positives / {n_neg} negatives")
         # the 1-based midrank of a group is start + (size + 1) / 2; twice it is
         # an integer, so the rank sum is exact
-        rank_sum = int(np.sum((2 * self.starts + self.sizes + 1) * pos)) / 2
+        twice = np.multiply(self.starts, 2, out=_words("w1", self.order.shape[0])[: self.starts.shape[0]])
+        twice += self.sizes
+        twice += 1
+        twice *= pos
+        rank_sum = int(np.sum(twice)) / 2
         u = rank_sum - n_pos * (n_pos + 1) / 2.0
         return float(u / (n_pos * n_neg))
 
@@ -147,22 +226,32 @@ class _Sweep:
         n_pos = int(tp.sum())
         if n_pos == 0:
             raise DegenerateLabels("no positive samples for average precision")
-        precision = np.cumsum(tp) / np.cumsum(sizes)
-        return float(np.sum(tp * precision) / n_pos)
+        # the cumulative counts are integers, exact in float64 as in int64
+        n, groups = self.order.shape[0], sizes.shape[0]
+        precision = _words("w1", n, np.float64)[:groups]
+        precision[...] = tp
+        np.cumsum(precision, out=precision)
+        precision /= np.cumsum(sizes, out=_words("w2", n)[:groups])
+        precision *= tp
+        return float(np.sum(precision) / n_pos)
 
 
 def aurc(curve: RiskCoverageCurve) -> float:
     """Area under the risk-coverage curve, lower is better."""
     r = curve.risks
-    return float(np.sum(curve.weights * (r[:-1] + r[1:]) * 0.5))
+    w = curve.weights
+    trapezoids = np.add(r[:-1], r[1:], out=_words("w1", r.shape[0], np.float64)[: w.shape[0]])
+    np.multiply(w, trapezoids, out=trapezoids)
+    trapezoids *= 0.5
+    return float(np.sum(trapezoids))
 
 
-# the ranking metrics of one sweep; successes per tie group are its sizes less its failures
+# the ranking metrics of one sweep
 SWEEP_METRICS = {
     "aurc": lambda sweep: aurc(sweep.curve),
-    "auroc-f": lambda sweep: sweep.auroc(sweep.sizes - sweep.failures),
-    "ap-f": lambda sweep: sweep.ap(sweep.sizes - sweep.failures, descending=True),
-    "ap-f-err": lambda sweep: sweep.ap(sweep.failures, descending=False),
+    "auroc-f": lambda sweep: sweep.auroc(sweep.successes()),
+    "ap-f": lambda sweep: sweep.ap(sweep.successes(), descending=True),
+    "ap-f-err": lambda sweep: sweep.ap(sweep.failures(), descending=False),
 }
 
 
@@ -177,18 +266,20 @@ def _optimal_aurc(res: np.ndarray) -> float:
     # successes with distinct values (a tied 0/1 oracle is not optimal,
     # because tie groups merge trapezoids upward): its sorted residuals are
     # known without a sort, and every row is its own tie group
-    n = res.shape[0]
-    presorted = np.zeros(n, dtype=np.int64)
-    presorted[: int(res.sum())] = 1
+    n, failed = res.shape[0], int(res.sum())
+    presorted = _flags("b0", n)
+    presorted[:failed] = True
+    presorted[failed:] = False
     return aurc(_curve(presorted, np.arange(n)))
 
 
 def e_aurc(curve: RiskCoverageCurve, failure) -> float:
     """Excess AURC over the best achievable ranking of the same residuals."""
     res, mask = _residuals_and_mask(failure)
-    if not mask.any():
+    res = res if mask is None else res[mask]
+    if res.shape[0] == 0:
         raise EmptyEvaluationSet("no samples left after masking")
-    return aurc(curve) - _optimal_aurc(res[mask])
+    return aurc(curve) - _optimal_aurc(res)
 
 
 def auroc_f(scores, failure) -> float:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     NEWCLASS,
     NEWCLASS_TAGS,
@@ -26,7 +28,7 @@ from .errors import EmptyEvaluationSet, FdevalError, InvalidParameter
 from . import metrics as M
 from .risk_control import ece, platt_apply, platt_fit
 # compute_csf and softmax are not called here; fdbench/tracing.py binds them in fdeval.protocol by name
-from .scores import CsfScores, compute_csf, compute_csfs, softmax  # noqa: F401
+from .scores import CsfScores, _held_scratch, compute_csf, compute_csfs, softmax  # noqa: F401
 
 LOWER_BETTER = frozenset({"aurc", "e-aurc", "ece", "nll", "brier"})
 DEFAULT_METRICS = ("aurc", "e-aurc", "auroc-f", "accuracy")
@@ -138,33 +140,46 @@ def run_study(
     evaluated[keep] = flabels.eval_mask
     res = flabels.residuals[flabels.eval_mask]
     inlier = bundle.labels[evaluated] != bundle.ood_label
-    # the AURC of the study's optimal ranking, the same for every CSF
-    optimum = M._optimal_aurc(res) if "e-aurc" in spec.metrics else None
-    needs_sweep = on_curve is not None or not RANKING_METRICS.isdisjoint(spec.metrics)
-    for csf, vec in scores.items():
-        try:
-            conf = vec.scores[evaluated]
-            sweep = M._Sweep(conf, res) if needs_sweep else None
-            for metric in spec.metrics:  # StudySpec admits only the names below and the classifier's
-                if metric in classifier:
-                    value = classifier[metric]
-                elif metric in M.SWEEP_METRICS:
-                    value = M.SWEEP_METRICS[metric](sweep)
-                elif metric == "e-aurc":
-                    value = M.SWEEP_METRICS["aurc"](sweep) - optimum  # the expression of M.e_aurc
-                elif metric == "auroc-out":
-                    value = sweep.auroc(sweep.counts(inlier))
-                else:
-                    value = _ece_of(conf, res, ece_bins)
-                report.values[(spec.name, csf, metric)] = float(value)
-            curve = None if on_curve is None else sweep.curve
-            # the sweep's index arrays are freed before the curve is drawn, and the curve before the next sweep
-            del conf, sweep
-            if curve is not None:
-                on_curve(spec.name, csf, curve)
-            del curve
-        except FdevalError as exc:
-            raise type(exc)(f"[study {spec.name} / {csf}] {exc}") from exc
+    needs_curve = on_curve is not None or not {"aurc", "e-aurc"}.isdisjoint(spec.metrics)
+    needs_sweep = needs_curve or not RANKING_METRICS.isdisjoint(spec.metrics)
+    n = res.shape[0]
+    with _held_scratch():   # the study's scratch words and flags (metrics._words), unmapped when it ends
+        # the AURC of the study's optimal ranking, the same for every CSF
+        optimum = M._optimal_aurc(res) if "e-aurc" in spec.metrics else None
+        for csf, vec in scores.items():
+            try:
+                values = dict(classifier)
+                conf = M._compress(evaluated, vec.scores, M._words("w3", n, np.float64))
+                # the sweep's per-group counts overwrite conf in w3 (metrics._words)
+                sweep = M._Sweep(conf, res) if needs_sweep else None
+                for metric in spec.metrics:   # values holds the classifier's; aurc and e-aurc are read below
+                    if metric == "ece":
+                        if sweep is not None:
+                            M._compress(evaluated, vec.scores, conf)
+                        values[metric] = _ece_of(conf, res, ece_bins)
+                    elif metric == "auroc-out":
+                        values[metric] = sweep.auroc(sweep.counts(inlier))
+                    elif metric in M.SWEEP_METRICS and metric != "aurc":
+                        values[metric] = M.SWEEP_METRICS[metric](sweep)
+                curve = None
+                if needs_curve:
+                    # last, from the residuals in sweep order and the group starts alone, once the sweep's
+                    # order and sizes are freed
+                    sorted_res, starts = sweep.res, sweep.starts
+                    sweep = None
+                    curve = M._curve(sorted_res, starts)
+                    del sorted_res, starts
+                    if "aurc" in spec.metrics or optimum is not None:
+                        values["aurc"] = M.aurc(curve)
+                    if optimum is not None:
+                        values["e-aurc"] = values["aurc"] - optimum   # the expression of M.e_aurc
+                for metric in spec.metrics:
+                    report.values[(spec.name, csf, metric)] = float(values[metric])
+                if on_curve is not None:
+                    on_curve(spec.name, csf, curve)
+                del sweep, curve   # before the next CSF's
+            except FdevalError as exc:
+                raise type(exc)(f"[study {spec.name} / {csf}] {exc}") from exc
     return report
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import RiskCoverageCurve
+from .metrics import RiskCoverageCurve, _words
 from .protocol import MetricReport
 
 AURC_SCALE = 1000.0  # tables display AURC x 1000; JSON keeps the raw value too
@@ -114,9 +114,9 @@ def _cents_table() -> np.ndarray:
     return table.reshape(_CENTS, _WIDTH)
 
 
-def _hundredths(v: np.ndarray) -> tuple[np.ndarray, dict[int, bytes]]:
+def _hundredths(v: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, bytes]]:
     """format(x, ".2f") of each element of v as its row of _cents_table (100 times the text's value),
-    as floats, and the texts that are no row.
+    as floats, written into out when given, and the texts that are no row.
 
     Nonnegative values clear of a half-hundredth are np.rint(100 * v) while it
     is below _CENTS; exact or near ties, non-finite values and all others go
@@ -126,7 +126,7 @@ def _hundredths(v: np.ndarray) -> tuple[np.ndarray, dict[int, bytes]]:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = 100.0 * v
-        hundredths = np.rint(scaled)
+        hundredths = np.rint(scaled, out=out)
         fast = ~np.signbit(v) & (hundredths < _CENTS) & (np.abs(scaled - hundredths) < 0.5 - _TIE_GAP)
     others = {}
     for i in np.flatnonzero(~fast).tolist():
@@ -155,8 +155,13 @@ def _text_rows(hundredths: np.ndarray, others: dict[int, bytes], idx: np.ndarray
     return out
 
 
-def _corners(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The vertices of the stepped path through points (xs, ys) that the drawing needs, as indices.
+# curve points per block of the path: each block's vertex arrays are a few hundred KB
+_PATH_BLOCK = 1 << 13
+
+
+def _corners(xs: np.ndarray, ys: np.ndarray, step: int):
+    """The vertices of the stepped path through points (xs, ys) that the drawing needs, as the point
+    indices of their x and y texts, in pieces of at most about 2 * step vertices.
 
     xs and ys are the points' coordinates as _hundredths gives them. Vertex 0
     is point 0; vertices 2k - 1 and 2k are (x_k, y_(k-1)) and (x_k, y_k). A
@@ -165,30 +170,65 @@ def _corners(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     line, so the drawn path stays the same. A drop never makes a further one
     possible, so one pass of each finds them all; no order of the points is
     assumed. A coordinate outside the text table is NaN, so its vertex is
-    never dropped.
+    never dropped. The points are read step at a time; the last two vertices
+    the first rule keeps wait for the next piece, which holds the right
+    neighbour that the second rule needs.
     """
-    vx, vy = np.repeat(xs, 2)[1:], np.repeat(ys, 2)[:-1]
-    kept = np.flatnonzero(np.r_[True, (vx[1:] != vx[:-1]) | (vy[1:] != vy[:-1])])
-    if kept.shape[0] < 3:
-        return kept
-    vx, vy = vx[kept], vy[kept]
-    a, b, c = vx[:-2], vx[1:-1], vx[2:]
-    p, q, r = vy[:-2], vy[1:-1], vy[2:]
-    # strictly between: the two steps point the same way; a NaN is never between
-    inner = ((a == b) & (b == c) & ((q - p) * (r - q) > 0)) | ((p == q) & (q == r) & ((b - a) * (c - b) > 0))
-    return kept[np.r_[True, ~inner, True]]
+    # the point indices of the texts of the last two kept vertices of the pieces before
+    tix, tiy = np.zeros(1, np.int64), np.zeros(1, np.int64)
+    yield tix, tiy   # vertex 0 is always drawn
+    waiting = False   # whether the last of them waits for its right neighbour
+    for lo in range(1, xs.shape[0], step):
+        k = np.arange(lo, min(lo + step, xs.shape[0]))
+        # vertices 2k - 1 = (x_k, y_(k-1)) and 2k = (x_k, y_k), against the vertices before them,
+        # 2k - 2 = (x_(k-1), y_(k-1)) and 2k - 1
+        ix, iy, py = np.repeat(k, 2), np.stack([k - 1, k], axis=1).reshape(-1), np.repeat(k - 1, 2)
+        kept = (xs[ix] != xs[iy]) | (ys[iy] != ys[py])
+        six, siy = np.r_[tix, ix[kept]], np.r_[tiy, iy[kept]]
+        sx, sy = xs[six], ys[siy]
+        first, last = tix.shape[0] - waiting, six.shape[0] - 1   # the vertices decided here: first..last - 1
+        if last > first:
+            a, b, c = sx[first - 1:last - 1], sx[first:last], sx[first + 1:]
+            p, q, r = sy[first - 1:last - 1], sy[first:last], sy[first + 1:]
+            # strictly between: the two steps point the same way; a NaN is never between
+            inner = (((a == b) & (b == c) & ((q - p) * (r - q) > 0))
+                     | ((p == q) & (q == r) & ((b - a) * (c - b) > 0)))
+            yield six[first:last][~inner], siy[first:last][~inner]
+        waiting = last >= first
+        tix, tiy = six[-2:], siy[-2:]
+    if waiting:
+        yield tix[-1:], tiy[-1:]   # the last vertex is always drawn
 
 
-def _path_data(xs: np.ndarray, ys: np.ndarray) -> bytes:
-    """The d attribute of the path through the vertices whose texts are rows xs and ys, the padding dropped."""
+def _path_data(xs: np.ndarray, ys: np.ndarray, first: bool) -> bytes:
+    """Path data through the vertices whose texts are rows xs and ys, the padding dropped; "M" leads the
+    first vertex of the path, and " L" every other one."""
     wx = xs.shape[1]
     out = np.empty((xs.shape[0], 4 + wx + ys.shape[1]), dtype=np.uint8)
     out[:, :3] = tuple(b" L ")
     out[:, 3:3 + wx] = xs
     out[:, 3 + wx] = ord(",")
     out[:, 4 + wx:] = ys
-    out[0, :3] = (_PAD, ord("M"), ord(" "))
+    if first:
+        out[0, :3] = (_PAD, ord("M"), ord(" "))
     return out.tobytes().replace(bytes([_PAD]), b"")
+
+
+def _path(coverages: np.ndarray, risks: np.ndarray, to_x, to_y) -> list[bytes]:
+    """The d attribute of the stepped path through the points (to_x(coverages), to_y(risks)), in pieces.
+
+    Each coordinate's text is settled once (_hundredths), one block of _PATH_BLOCK points at a time,
+    into scratch words (metrics._words); the path keeps only the corners of the steps (_corners).
+    """
+    n = coverages.shape[0]
+    xs, ys = _words("w1", n, np.float64), _words("w2", n, np.float64)
+    x_others, y_others = {}, {}
+    for lo in range(0, n, _PATH_BLOCK):
+        hi = min(lo + _PATH_BLOCK, n)
+        for v, rows, others in ((to_x(coverages[lo:hi]), xs, x_others), (to_y(risks[lo:hi]), ys, y_others)):
+            others.update((lo + i, text) for i, text in _hundredths(v, out=rows[lo:hi])[1].items())
+    return [_path_data(_text_rows(xs, x_others, ix), _text_rows(ys, y_others, iy), first=not i)
+            for i, (ix, iy) in enumerate(_corners(xs, ys, _PATH_BLOCK))]
 
 
 def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
@@ -205,11 +245,8 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
     def y(risk: float) -> str:
         return format(bottom - (bottom - top) * risk, ".2f")
 
-    # each coordinate's text is settled once; the path keeps only the corners of the steps
-    xs, x_others = _hundredths(left + (right - left) * np.asarray(curve.coverages, dtype=np.float64))
-    ys, y_others = _hundredths(bottom - (bottom - top) * np.asarray(curve.risks, dtype=np.float64))
-    corners = _corners(xs, ys)
-    path = _path_data(_text_rows(xs, x_others, (corners + 1) // 2), _text_rows(ys, y_others, corners // 2))
+    path = _path(np.asarray(curve.coverages, dtype=np.float64), np.asarray(curve.risks, dtype=np.float64),
+                 lambda cov: left + (right - left) * cov, lambda risk: bottom - (bottom - top) * risk)
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360" viewBox="0 0 480 360">',
@@ -232,4 +269,4 @@ def render_rc_svg(curve: RiskCoverageCurve, study: str, csf: str) -> bytes:
     parts.append("</svg>")
     # the path's bytes go in once, between the encoded text before and after its {path} mark
     head, _, tail = ("\n".join(parts) + "\n").partition("{path}")
-    return b"".join([head.encode(), path, tail.encode()])
+    return b"".join([head.encode(), *path, tail.encode()])

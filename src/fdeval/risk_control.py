@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, EmptyEvaluationSet, InvalidParameter, NoFeasibleThreshold, PerfectSeparation
-from .metrics import _conf_array, _masked
+from .metrics import _GATHER_BLOCK as _BLOCK, _conf_array, _flags, _masked, _words
 
 
 @dataclass
@@ -203,17 +203,23 @@ class PlattModel:
     n_iter: int
 
 
-def _platt_nll_grad_hess(s, y, a, b):
-    z = a * s + b
-    nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
+def _platt_nll_grad_hess(s, y, a, b, work=None):
+    """The NLL of sigma(a s + b) against targets y, its gradient and Hessian in (a, b). The steps run
+    in work, three arrays of s's shape that platt_fit passes to every call, else new ones."""
+    z, t, u = work or (np.empty(s.shape) for _ in range(3))
+    np.multiply(a, s, out=z)
+    z += b
+    nll = float(np.sum(np.subtract(np.logaddexp(0.0, z, out=t), np.multiply(y, z, out=u), out=t)))
     with np.errstate(over="ignore"):   # exp(-z) overflows to inf where the sigmoid rounds to 0
-        p = 1.0 / (1.0 + np.exp(-z))
-    diff = p - y
-    g = np.array([np.sum(diff * s), np.sum(diff)])
-    w = p * (1.0 - p)
-    ws = w * s
+        p = np.exp(np.negative(z, out=u), out=u)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    diff = np.subtract(p, y, out=t)
+    g = np.array([np.sum(np.multiply(diff, s, out=z)), np.sum(diff)])
+    w = np.multiply(p, np.subtract(1.0, p, out=t), out=t)
+    ws = np.multiply(w, s, out=z)
     sum_ws = np.sum(ws)
-    h = np.array([[np.sum(ws * s), sum_ws], [sum_ws, np.sum(w)]])
+    h = np.array([[np.sum(np.multiply(ws, s, out=u)), sum_ws], [sum_ws, np.sum(w)]])
     return nll, g, h
 
 
@@ -225,21 +231,32 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
     the raw fit.
     """
     s, res = _masked(scores, residuals)
-    y = (res == 0).astype(np.float64)
-    n_pos, n_neg = float(y.sum()), float((1 - y).sum())
+    n = s.shape[0]
+    # the targets and every Newton step run in the scratch words w1, w2, w4 and w5 (metrics._words), made once
+    # per fit, or held by the study in run_study
+    success = np.equal(res, 0, out=_flags("b0", n))
+    y = _words("w1", n, np.float64)
+    y[...] = success
+    n_pos = float(y.sum())
+    n_neg = n - n_pos   # both counts are exact
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"need both outcomes, got {n_pos:g} successes / {n_neg:g} failures")
-    if not prior_smoothing and float(s[res == 0].min()) > float(s[res == 1].max()):
+    if not prior_smoothing and float(np.min(s, where=success, initial=np.inf)) > float(
+            np.max(s, where=np.logical_not(success, out=_flags("b1", n)), initial=-np.inf)):
         # separable supports leave the NLL without a finite minimizer;
         # interior targets (prior_smoothing) restore one
         raise PerfectSeparation("success scores lie strictly above failure scores")
+    work = tuple(_words(name, n, np.float64) for name in ("w2", "w4", "w5"))
     if prior_smoothing:
         t_pos = (n_pos + 1.0) / (n_pos + 2.0)
         t_neg = 1.0 / (n_neg + 2.0)
-        y = y * t_pos + (1.0 - y) * t_neg
+        neg = np.subtract(1.0, y, out=work[0])
+        neg *= t_neg
+        y *= t_pos
+        y += neg
 
     a, b = 0.0, float(np.log(y.mean() / (1.0 - y.mean())))
-    nll, g, h = _platt_nll_grad_hess(s, y, a, b)
+    nll, g, h = _platt_nll_grad_hess(s, y, a, b, work)
     n_iter = ties = 0
     for n_iter in range(1, 101):
         if np.max(np.abs(g)) <= 1e-10:
@@ -251,7 +268,7 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
         scale = 1.0
         for _ in range(40):
             na, nb = a + scale * step[0], b + scale * step[1]
-            new_nll, new_g, new_h = _platt_nll_grad_hess(s, y, na, nb)
+            new_nll, new_g, new_h = _platt_nll_grad_hess(s, y, na, nb, work)
             if new_nll <= nll:
                 break
             scale *= 0.5
@@ -272,9 +289,19 @@ def platt_fit(scores, residuals, prior_smoothing: bool = False) -> PlattModel:
 def platt_apply(model: PlattModel, scores) -> np.ndarray:
     """Map scores through the fitted sigmoid; strictly monotone for a > 0."""
     s = _conf_array(scores)
-    z = model.a * s + model.b
-    with np.errstate(over="ignore", invalid="ignore"):   # np.where drops the branch that overflows
-        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    n = s.shape[0]
+    out = np.empty(n)
+    z = np.multiply(model.a, s, out=_words("w2", n, np.float64))
+    z += model.b
+    # 1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)): each form is taken where the other overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(z, out=_words("w4", n, np.float64))
+        np.divide(e, np.add(1.0, e, out=_words("w5", n, np.float64)), out=out)
+        e = np.exp(np.negative(z, out=e), out=e)
+        e += 1.0
+        np.divide(1.0, e, out=e)
+    np.copyto(out, e, where=np.greater_equal(z, 0, out=_flags("b0", n)))
+    return out
 
 
 def ece(calibrated_scores, residuals, bins: int = 15) -> float:
@@ -285,10 +312,12 @@ def ece(calibrated_scores, residuals, bins: int = 15) -> float:
     if (s < 0).any() or (s > 1).any():
         raise InvalidParameter("calibrated scores must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)[1:]
-    idx = np.searchsorted(edges, s, side="left")
+    idx = _words("w4", s.shape[0])   # each score's bin, found a block at a time into a scratch word
+    for lo in range(0, s.shape[0], _BLOCK):
+        idx[lo:lo + _BLOCK] = np.searchsorted(edges, s[lo:lo + _BLOCK], side="left")
     counts = np.bincount(idx)
     filled = counts > 0
     n_b = counts[filled]
-    acc = np.bincount(idx, weights=1.0 - res)[filled] / n_b
+    acc = np.bincount(idx, weights=np.subtract(1.0, res, out=_words("w2", s.shape[0], np.float64)))[filled] / n_b
     conf = np.bincount(idx, weights=s)[filled] / n_b
     return float(np.sum(n_b / s.size * np.abs(acc - conf)))

@@ -29,6 +29,7 @@ leave worker threads spinning that would slow them down.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import sys
@@ -121,11 +122,9 @@ def _softmax(logits: np.ndarray, cfg: SoftmaxConfig, out: np.ndarray | None = No
     # numpy need not warn about it first (SoftmaxConfig keeps the cast temperature nonzero)
     with np.errstate(over="ignore", invalid="ignore"):
         # x is out at f64, else a scratch array of the precision; the steps below work on it in place
-        if dtype is np.float64:
-            x = np.divide(logits, dtype(cfg.temperature), out=out)
-        else:
-            x = _scratch("softmax", logits.shape, dtype)
-            x[...] = logits
+        x = out if dtype is np.float64 else _scratch("softmax", logits.shape, dtype)
+        x[...] = logits
+        if cfg.temperature != 1.0:   # x / 1 is x, bit for bit
             x /= dtype(cfg.temperature)
         x -= np.max(x, axis=-1, keepdims=True)
         if dtype is np.float16:
@@ -165,17 +164,22 @@ def _nan_free(scores: np.ndarray, what: str, logits: np.ndarray, cfg: SoftmaxCon
 def _entropy(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rowwise -sum p ln p along the last axis, 0 ln 0 = 0, written into out when given.
 
-    Callers pass one _map_rows block, whose temporaries come from the worker's _scratch.
+    Callers pass one _map_rows block, whose temporaries come from the worker's _scratch. The sum is
+    taken over p ln p directly, which is NaN in a row holding a 0.0, a -0.0, a NaN or a negative value;
+    only those rows are summed again with ln 1 in place of ln p where p is not positive, so that
+    0 ln 0 gives +0.0 and a NaN stays NaN.
     """
-    dtype = np.result_type(p, 1.0)
-    # p, with 1 where p is not positive: p * ln(1) is then +0.0 where p == 0, and NaN where p is
-    positive = np.greater(p, 0, out=_scratch("positive", p.shape, bool))
-    plogp = _scratch("plogp", p.shape, dtype)
-    plogp.fill(1.0)
-    np.copyto(plogp, p, where=positive)
-    np.log(plogp, out=plogp)
-    plogp *= p
+    plogp = _scratch("plogp", p.shape, np.result_type(p, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):   # ln 0 = -inf, and -inf * 0 is NaN
+        np.log(p, out=plogp)
+        plogp *= p
     out = np.sum(plogp, axis=-1, out=out)
+    bad = np.isnan(out)
+    if bad.any():
+        q = p[bad]
+        masked = np.ones(q.shape, plogp.dtype)
+        np.copyto(masked, q, where=q > 0)
+        out[bad] = np.sum(np.log(masked) * q, axis=-1)
     return np.negative(out, out=out)
 
 
@@ -248,13 +252,26 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_pass = threading.local()   # arrays: the scratch of the _map_rows worker running on this thread
+_pass = threading.local()   # arrays: the scratch of the _held_scratch scope open on this thread
+
+
+@contextlib.contextmanager
+def _held_scratch():
+    """A scope in which _scratch on this thread gives held arrays; they are unmapped when it ends, and
+    the scope it was opened in, if any, is back. Each _map_rows worker opens one, and so does
+    protocol.run_study for its study."""
+    outer = getattr(_pass, "arrays", None)
+    _pass.arrays = {}
+    try:
+        yield
+    finally:
+        _pass.arrays = outer
 
 
 def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialised array of shape and dtype. In a _map_rows worker it is that worker's array of this
-    name, trailing shape and dtype, made at its first block and reused by every later one, which has at
-    most as many rows: an anonymous mapping, not a malloc block, so its pages go back when the pass
+    """An uninitialised array of shape and dtype. In a _held_scratch scope it is the scope's array of this
+    name, trailing shape and dtype, made at its first request and reused by every later one, which has at
+    most as many rows: an anonymous mapping, not a malloc block, so its pages go back when the scope
     ends, whatever malloc's thresholds. Elsewhere it is a new array."""
     arrays = getattr(_pass, "arrays", None)
     if arrays is None:
@@ -283,15 +300,12 @@ def _map_rows(fn, n: int, width: int) -> None:
     errstate, errors = np.geterr(), [None] * workers
 
     def work(k: int) -> None:
-        _pass.arrays = {}
         try:
-            with np.errstate(**errstate):
+            with _held_scratch(), np.errstate(**errstate):
                 for lo in starts[k::workers]:
                     fn(lo, min(lo + step, n))
         except BaseException as exc:   # raised in the caller, below
             errors[k] = exc
-        finally:
-            del _pass.arrays
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     for thread in threads:

@@ -250,6 +250,41 @@ def test_library_errors_exit_1(tmp_path):
     assert run(["evaluate", "--bundle", d]) == 1
 
 
+def written(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+# one command per exit code: a run, a library error (no such external score) and a config error
+@pytest.mark.parametrize("code, argv", [
+    (0, ["evaluate", "--emit", "json,csv,svg"]),
+    (1, ["score", "--csf", "ext:missing"]),
+    (2, ["evaluate", "--temperature", "-1"]),
+])
+def test_module_entry_does_what_main_does(code, argv, toy_bundle_dir, tmp_path, capsys):
+    # python -m fdeval.cli runs cli.run, which freezes the heap after main returns
+    out = tmp_path / "out"
+    argv = [*argv, "--bundle", str(toy_bundle_dir), "--out", str(out)]
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fdeval.cli", *argv], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    artifacts = written(out)
+    for name in artifacts:
+        (out / name).unlink()
+    assert main(argv) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+    assert written(out) == artifacts and (code != 0) == (not artifacts)
+
+
+def test_run_freezes_the_heap_once_main_has_returned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fdeval.cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(fdeval.cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exit_:
+        fdeval.cli.run()
+    assert exit_.value.code == 3 and calls == ["main", "freeze"]
+
+
 def test_synthetic_audit_too_big_for_numpy_exits_2(tmp_path, capsys):
     # n x c f64 logits beyond numpy's largest array: refused before anything is allocated
     assert run(["precision-audit", "--synthetic", "--n", "100", "--c", str(10**18), "--out", tmp_path]) == 2

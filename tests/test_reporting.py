@@ -195,6 +195,18 @@ def test_render_rc_svg_matches_per_point_reference():
         assert not any(between(*vertices[i - 1:i + 2]) for i in range(1, len(vertices) - 1)), name
 
 
+def test_render_rc_svg_bytes_do_not_depend_on_the_path_block(monkeypatch):
+    # the path is drawn a block of points at a time, and the corner test of a block's last kept
+    # vertices waits for the next block; blocks of one point and of a few put a boundary everywhere
+    cases = {name: curve for name, curve in reference_cases().items() if curve.coverages.size <= 5000}
+    assert len(cases) > 10 and any(curve.coverages.size > 1000 for curve in cases.values())
+    whole = {name: render_rc_svg(curve, "s", name) for name, curve in cases.items()}
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(fdeval.reporting, "_PATH_BLOCK", block)
+        for name, curve in cases.items():
+            assert render_rc_svg(curve, "s", name) == whole[name], (block, name)
+
+
 def test_render_rc_svg_keeps_the_corners_only():
     curve = curve_cases()["untied-100k"]
     before = len(path_vertices(per_point_render_rc_svg(curve, "s", "c")))

@@ -176,7 +176,18 @@ def test_entropy_is_bitwise_the_one_line_form(dtype):
         p = softmax(rng.normal(0.0, 300.0, size=(300, 5, 40))).astype(dtype)   # many exact zeros
         wide = softmax(rng.normal(0.0, 300.0, size=(7001, 40))).astype(dtype)   # more rows than a _map_rows block
     assert (p == 0).any() and (wide == 0).any()
-    for q in (p, p[:, 0], p[:1, :1], wide):
+    # _entropy sums p ln p first and sums again only the rows that gave NaN: rows holding an exact
+    # 0.0, a -0.0 or a NaN, alone or together, among rows that hold none
+    special = wide[:60].copy()
+    special[0:20:2, 3] = 0.0
+    special[1:20:2, 5] = -0.0
+    special[20:40:3, 7] = np.nan
+    special[40:43] = [[0.0], [-0.0], [np.nan]]
+    special[43, :3] = [0.0, -0.0, np.nan]
+    stacked = p.copy()
+    stacked[::7, ::2, 11] = -0.0
+    stacked[::5, 1, 13] = np.nan
+    for q in (p, p[:, 0], p[:1, :1], wide, special, special[:, None], stacked):
         got, want = _entropy(q), one_line_entropy(q)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q.shape
 
