@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, EmptyEvaluationSet, InvalidParameter, NoFeasibleThreshold, PerfectSeparation
-from .metrics import _GATHER_BLOCK as _BLOCK, _conf_array, _flags, _masked, _words
+from .metrics import _GATHER_BLOCK, _conf_array, _flags, _masked, _words
 
 
 @dataclass
@@ -313,8 +313,8 @@ def ece(calibrated_scores, residuals, bins: int = 15) -> float:
         raise InvalidParameter("calibrated scores must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, bins + 1)[1:]
     idx = _words("w4", s.shape[0])   # each score's bin, found a block at a time into a scratch word
-    for lo in range(0, s.shape[0], _BLOCK):
-        idx[lo:lo + _BLOCK] = np.searchsorted(edges, s[lo:lo + _BLOCK], side="left")
+    for lo in range(0, s.shape[0], _GATHER_BLOCK):
+        idx[lo:lo + _GATHER_BLOCK] = np.searchsorted(edges, s[lo:lo + _GATHER_BLOCK], side="left")
     counts = np.bincount(idx)
     filled = counts > 0
     n_b = counts[filled]

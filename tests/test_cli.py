@@ -580,37 +580,3 @@ def test_platt_on_far_apart_scores_runs_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         assert run(["evaluate", "--bundle", bundle_dir, "--config", config, "--out", tmp_path / "e"]) == 0
         assert run(["calibrate", "--bundle", bundle_dir, "--csf", "ext:x", "--out", tmp_path / "c"]) == 0
-
-
-# after main has run, 20 rounds of making and then freeing four 800 KB arrays (n-long f64 temporaries
-# of a 100k-row sweep), counting the minor page faults they take
-REUSED_TEMPORARY = """\
-import contextlib, io, resource, sys
-import numpy as np
-from fdeval.cli import main
-if sys.argv[1] == "main":
-    with contextlib.redirect_stdout(io.StringIO()):
-        main([])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    temporaries = [np.ones(100_000) for _ in range(4)]
-    del temporaries
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(not fdeval.cli._glibc(), reason="main pins glibc's malloc only")
-def test_main_keeps_sweep_sized_temporaries_on_the_heap():
-    # unpinned, glibc gives back the freed arrays' pages in every round (by unmapping them, or by
-    # trimming the heap) unless a larger mapped block was freed first; main pins the thresholds, so
-    # the heap keeps the pages and reuses them
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    faults = {}
-    for mode in ("main", "import"):
-        proc = subprocess.run([sys.executable, "-c", REUSED_TEMPORARY, mode], env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        faults[mode] = int(proc.stdout)
-    # a round's pages, faulted once (measured: about 750 faults) against once per round (about 15000)
-    per_round = 4 * 100_000 * 8 // 4096
-    assert faults["main"] < 2 * per_round < 10 * per_round < faults["import"], faults
